@@ -7,7 +7,6 @@ claims, 2 input/validation errors, 3 resource caps.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -127,26 +126,21 @@ def cmd_price(args) -> int:
     doc: dict = {"input": args.game, "results": []}
     rows = doc["results"]
 
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{args.game}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    is_argument_spec = isinstance(raw, dict) and "arguments" in raw
-    if is_argument_spec:
-        ag = specio.load_argument_game(text, args.game)
+    spec = specio.load_spec(text, args.game)
+    if isinstance(spec, fd.ArgumentGame):
         for method in methods:
             if method not in ARGUMENT_METHODS:
                 raise ValidationError(
                     f"method {method!r} needs a player-game spec, got an argument game"
                 )
             if method == "shapley":
-                rows.extend(_payoff_rows("shapley", fd.shapley_arguments(ag)))
+                rows.extend(_payoff_rows("shapley", fd.shapley_arguments(spec)))
             else:
-                per_arg, per_rec = fd.anonymity_proof_shapley(ag)
+                per_arg, per_rec = fd.anonymity_proof_shapley(spec)
                 rows.extend(_payoff_rows("anon-shapley:argument", per_arg))
                 rows.extend(_payoff_rows("anon-shapley", per_rec))
     else:
-        game = specio.load_game(text, args.game)
+        game = spec
         for method in methods:
             if method not in GAME_METHODS:
                 raise ValidationError(

@@ -8,18 +8,20 @@ Feasibility is decided by a phase-1 simplex over Fractions with Bland's
 rule, so the verdict is exact: a feasible point or a Farkas-style
 infeasibility certificate (nonnegative multipliers for the inequalities,
 free ones for the equalities, combining the system into 0 >= positive).
-Constraint counts are exponential in the player count; exact certification
-is practical up to roughly 8 players.
+Constraint counts are exponential in the player count.  Core membership and
+the separation scan between row-generation rounds are integer passes over
+the game's worth table; the simplex sees only the rows activated so far.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ResourceCapError, ValidationError
-from .games import Coalition, Game, max_players
+from .games import Coalition, Game, WorthTable, lex_masks, max_players, subset_sums
 from .rational import Rational, as_fraction
 
 
@@ -227,15 +229,23 @@ def lp_feasible(sys: LinearSystem) -> FeasibilityResult:
 
 def core_system(game: Game) -> LinearSystem:
     """The Core as a linear system over one variable per player."""
-    ids = tuple(sorted(game.player_ids))
-    grand = game.grand_coalition
-    eqs = [({i: Fraction(1) for i in ids}, game.worth(grand))]
-    ineqs = []
-    for s in game.coalitions():
-        if not s or s == grand:
-            continue
-        ineqs.append(({i: Fraction(1) for i in sorted(s)}, game.worth(s)))
-    return LinearSystem.create(ids, eqs, ineqs)
+    t = game.table()
+    full = len(t.nums) - 1
+    ineqs = [_row(t, m) for m in lex_masks(len(t.ids)) if 0 < m < full]
+    return LinearSystem.create(t.ids, [_row(t, full)], ineqs)
+
+
+def _row(t: WorthTable, mask: int) -> tuple[dict[str, Fraction], Fraction]:
+    """Coefficients and right-hand side of the Core constraint of one coalition."""
+    return {i: Fraction(1) for i in t.members(mask)}, Fraction(t.nums[mask], t.den)
+
+
+def _excess(t: WorthTable, x: Mapping[str, Fraction]) -> list[int]:
+    """v(S) - x(S) for every mask, as integer numerators over one denominator."""
+    den = math.lcm(t.den, *(x[i].denominator for i in t.ids))
+    paid = subset_sums(x[i].numerator * (den // x[i].denominator) for i in t.ids)
+    f = den // t.den
+    return [v * f - p for v, p in zip(t.nums, paid)]
 
 
 @dataclass(frozen=True)
@@ -251,17 +261,14 @@ def core_contains(game: Game, payoff: Mapping[str, Rational]) -> CoreMembership:
     x = {i: as_fraction(v, f"payoff[{i}]") for i, v in payoff.items()}
     if frozenset(x) != game.player_ids:
         raise ValidationError("payoff vector must cover exactly the game's players")
-    total = sum(x.values(), Fraction(0))
-    grand_worth = game.worth(game.grand_coalition)
-    feasible = total == grand_worth
-    witness = None
-    for s in game.coalitions():  # lexicographic order; first hit is the witness
-        if not s:
-            continue
-        if game.worth(s) > sum((x[i] for i in s), Fraction(0)):
-            witness = s
-            break
-    return CoreMembership(feasible and witness is None, witness, feasible)
+    t = game.table()
+    excess = _excess(t, x)
+    feasible = excess[-1] == 0
+    # lexicographic order, so the first hit is the witness; the empty
+    # coalition has excess 0 and never is one
+    witness = next((m for m in lex_masks(len(t.ids)) if excess[m] > 0), None)
+    violated = None if witness is None else frozenset(t.members(witness))
+    return CoreMembership(feasible and witness is None, violated, feasible)
 
 
 @dataclass(frozen=True)
@@ -284,20 +291,17 @@ def core_is_nonempty(game: Game) -> CoreExistence:
     """
     if len(game.players) > max_players():
         raise ResourceCapError("player count exceeds the configured cap")
-    ids = tuple(sorted(game.player_ids))
-    grand = game.grand_coalition
-    eq = ({i: Fraction(1) for i in ids}, game.worth(grand))
+    t = game.table()
+    eq = _row(t, len(t.nums) - 1)
 
-    active: list[Coalition] = [frozenset({i}) for i in ids]
+    active = [1 << j for j in range(len(t.ids))]  # the singletons
     while True:
-        sys_ = LinearSystem.create(
-            ids, [eq], [({i: Fraction(1) for i in s}, game.worth(s)) for s in active]
-        )
+        sys_ = LinearSystem.create(t.ids, [eq], [_row(t, m) for m in active])
         res = lp_feasible(sys_)
         if not res.feasible:
-            cert = _full_system_certificate(game, active, res.certificate)
+            cert = _full_system_certificate(t, active, res.certificate)
             return CoreExistence(False, None, cert)
-        worst = _worst_violated_coalition(game, res.point)
+        worst = _worst_violated_coalition(t, res.point)
         if worst is None:
             membership = core_contains(game, res.point)
             if not membership.in_core:
@@ -306,37 +310,34 @@ def core_is_nonempty(game: Game) -> CoreExistence:
         active.append(worst)  # always a new row, so at most 2^n rounds
 
 
-def _worst_violated_coalition(game: Game, point: Mapping[str, Fraction]) -> Coalition | None:
-    grand = game.grand_coalition
-    worst = None
-    worst_gap = Fraction(0)
-    for s in game.coalitions():  # lexicographic: first strict max wins ties
-        if not s or s == grand:
-            continue
-        gap = game.worth(s) - sum((point[i] for i in s), Fraction(0))
-        if gap > worst_gap:
-            worst, worst_gap = s, gap
-    return worst
+def _worst_violated_coalition(t: WorthTable, point: Mapping[str, Fraction]) -> int | None:
+    """Mask of the proper coalition with the largest positive excess, ties to
+    the lexicographically smallest; None when no proper coalition is violated."""
+    excess = _excess(t, point)
+    full = len(excess) - 1
+    top = max(excess[1:full], default=0)
+    if top <= 0:
+        return None
+    return next(m for m in lex_masks(len(t.ids)) if 0 < m < full and excess[m] == top)
 
 
 def _full_system_certificate(
-    game: Game, active: Sequence[Coalition], cert: FarkasCertificate
+    t: WorthTable, active: Sequence[int], cert: FarkasCertificate
 ) -> FarkasCertificate:
     multipliers = dict(zip(active, cert.ineq_multipliers))
-    grand = game.grand_coalition
-    full = tuple(
-        multipliers.get(s, Fraction(0))
-        for s in game.coalitions()
-        if s and s != grand
+    full = len(t.nums) - 1
+    zero = Fraction(0)
+    extended = FarkasCertificate(
+        cert.eq_multipliers,
+        tuple(multipliers.get(m, zero) for m in lex_masks(len(t.ids)) if 0 < m < full),
     )
-    extended = FarkasCertificate(cert.eq_multipliers, full)
     # cheap direct re-check; combining inactive rows adds nothing
-    combined = {i: cert.eq_multipliers[0] for i in game.player_ids}
-    rhs = cert.eq_multipliers[0] * game.worth(grand)
-    for s, m in multipliers.items():
-        for i in s:
-            combined[i] += m
-        rhs += m * game.worth(s)
+    combined = {i: cert.eq_multipliers[0] for i in t.ids}
+    rhs = cert.eq_multipliers[0] * Fraction(t.nums[full], t.den)
+    for m, mult in multipliers.items():
+        for i in t.members(m):
+            combined[i] += mult
+        rhs += mult * Fraction(t.nums[m], t.den)
     if any(c != 0 for c in combined.values()) or rhs <= 0:
         raise AssertionError("lazy-row Farkas certificate failed the exact re-check")
     return extended

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceCapError, ValidationError
@@ -27,6 +26,8 @@ from .games import (
     build_linear,
     build_threshold,
     max_players,
+    popcounts,
+    scatter_table,
 )
 from .rational import Rational, as_fraction
 
@@ -43,45 +44,32 @@ def shapley(game: Game) -> PayoffVector:
 
     Computed by the subset-sum formula
         phi_i = sum over S not containing i of
-                |S|! (n-1-|S|)! / n! * (v(S+i) - v(S)).
+                |S|! (n-1-|S|)! / n! * (v(S+i) - v(S))
+    in integers over the game's worth table.
     """
-    ids = sorted(game.player_ids)
-    n = len(ids)
+    n = len(game.player_ids)
     if n > max_players():
         raise ResourceCapError("player count exceeds the configured cap")
-    n_fact = math.factorial(n)
-    values: PayoffVector = {}
-    for i in ids:
-        others = [x for x in ids if x != i]
-        total = Fraction(0)
-        for size in range(n):
-            weight = Fraction(math.factorial(size) * math.factorial(n - 1 - size), n_fact)
-            for combo in combinations(others, size):
-                s = frozenset(combo)
-                total += weight * (game.worth(s | {i}) - game.worth(s))
-        values[i] = total
-    return values
+    t = game.table()
+    weights = [math.factorial(s) * math.factorial(n - 1 - s) for s in range(n)]
+    totals = _marginal_sums(t.nums, weights)
+    scale = t.den * math.factorial(n)
+    return {pid: Fraction(x, scale) for pid, x in zip(t.ids, totals)}
 
 
-def shapley_permutation_oracle(game: Game) -> PayoffVector:
-    """Brute-force oracle: average marginal contributions over all n! orderings.
-
-    Independent of `shapley`; only usable for small player counts.
-    """
-    from itertools import permutations
-
-    ids = sorted(game.player_ids)
-    n_fact = math.factorial(len(ids))
-    totals = {i: Fraction(0) for i in ids}
-    for order in permutations(ids):
-        seen: frozenset = frozenset()
-        prev = Fraction(0)
-        for pid in order:
-            seen = seen | {pid}
-            cur = game.worth(seen)
-            totals[pid] += cur - prev
-            prev = cur
-    return {i: t / n_fact for i, t in totals.items()}
+def _marginal_sums(nums: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """For each bit j: the sum over masks m without bit j of
+    weights[|m|] * (nums[m | 1 << j] - nums[m])."""
+    n = len(weights)
+    size = 1 << n
+    counts = popcounts(n)
+    totals = []
+    for j in range(n):
+        b = 1 << j
+        totals.append(
+            sum(weights[counts[m]] * (nums[m | b] - nums[m]) for m in range(size) if not m & b)
+        )
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +135,16 @@ class ArgumentGame:
         return self.worths.get(s, Fraction(0))
 
 
-def _uniform_marginal_value(worth: Callable[[Coalition], Fraction], ids: Sequence[str]) -> dict:
-    """Per-element value with every coalition term weighted by 1/n!."""
+def _uniform_marginal_value(worths: Mapping[Coalition, Fraction], ids: Sequence[str]) -> dict:
+    """Per-element value with every coalition term weighted by 1/n!.
+
+    `worths` is sparse over subsets of `ids`; missing coalitions are worth 0.
+    """
     n = len(ids)
-    scale = Fraction(1, math.factorial(n))
-    out = {}
-    for i in ids:
-        others = [x for x in ids if x != i]
-        subsets = chain.from_iterable(combinations(others, r) for r in range(n))
-        total = Fraction(0)
-        for combo in subsets:
-            s = frozenset(combo)
-            total += worth(s | {i}) - worth(s)
-        out[i] = scale * total
-    return out
+    den, nums = scatter_table(tuple(ids), worths)
+    totals = _marginal_sums(nums, [1] * n)
+    scale = den * math.factorial(n)
+    return {a: Fraction(x, scale) for a, x in zip(ids, totals)}
 
 
 def shapley_arguments(ag: ArgumentGame) -> dict[str, Fraction]:
@@ -168,10 +152,7 @@ def shapley_arguments(ag: ArgumentGame) -> dict[str, Fraction]:
     declared = ag.declared
     if not declared:
         raise ValidationError("no declared arguments")
-
-    def restricted(s: Coalition) -> Fraction:
-        return ag.worth(s)  # callers only pass subsets of the declared set
-
+    restricted = {s: v for s, v in ag.worths.items() if s <= declared}
     return _uniform_marginal_value(restricted, sorted(declared))
 
 
@@ -190,7 +171,7 @@ def anonymity_proof_shapley(ag: ArgumentGame) -> tuple[dict[str, Fraction], Payo
     declared = ag.declared
     if not declared:
         raise ValidationError("no declared arguments")
-    full = _uniform_marginal_value(ag.worth, sorted(ag.arguments))
+    full = _uniform_marginal_value(ag.worths, sorted(ag.arguments))
     denom = sum((full[a] for a in declared), Fraction(0))
     v_declared = ag.worth(declared)
     if denom == 0:
@@ -252,40 +233,6 @@ def nash_bargaining(bp: BargainingProblem) -> PayoffVector:
     surplus = bp.total - sum(bp.disagreement.values(), Fraction(0))
     share = surplus / len(ids)
     return {i: bp.disagreement[i] + share for i in ids}
-
-
-def nash_product_grid_oracle(bp: BargainingProblem, steps: int = 60) -> PayoffVector:
-    """Test oracle: grid search of argmax prod(x_i - d_i) on the simplex.
-
-    Exhaustive over compositions of `steps` grid increments; exponential in
-    the player count, so only for small problems.
-    """
-    ids = sorted(bp.disagreement)
-    d = [bp.disagreement[i] for i in ids]
-    surplus = bp.total - sum(d, Fraction(0))
-    n = len(ids)
-    if surplus == 0:
-        return dict(zip(ids, d))
-
-    best_val = None
-    best = None
-
-    def rec(idx: int, remaining: int, shares: list[int]):
-        nonlocal best_val, best
-        if idx == n - 1:
-            alloc = shares + [remaining]
-            prod = Fraction(1)
-            for a in alloc:
-                prod *= Fraction(a, steps) * surplus
-            if best_val is None or prod > best_val:
-                best_val = prod
-                best = alloc
-            return
-        for take in range(remaining + 1):
-            rec(idx + 1, remaining - take, shares + [take])
-
-    rec(0, steps, [])
-    return {i: d_i + Fraction(b, steps) * surplus for i, d_i, b in zip(ids, d, best)}
 
 
 # ---------------------------------------------------------------------------

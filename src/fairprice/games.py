@@ -13,15 +13,21 @@ Three scenario constructors are provided:
 
 Games may also be built from an explicit worth table (used by tests and
 property checks).  All arithmetic is exact; floats never enter here.
+
+`Game.worth` evaluates the scenario formula for one coalition.  The pricing
+code reads `Game.table()` instead: the worth of every coalition as integer
+numerators over one common denominator, indexed by bitmask, which each
+builder fills without evaluating the formula coalition by coalition.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
-from typing import Iterable, Mapping
+from functools import lru_cache
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import ResourceCapError, ValidationError
 from .rational import Rational, as_fraction
@@ -62,6 +68,46 @@ class Player:
             raise ValidationError(f"unknown player kind {self.kind!r}")
 
 
+class WorthTable(NamedTuple):
+    """v(S) = nums[mask(S)] / den, where bit j of a mask stands for ids[j]."""
+
+    ids: tuple[str, ...]  # sorted player ids
+    den: int
+    nums: list[int]
+
+    def members(self, mask: int) -> tuple[str, ...]:
+        """The sorted ids of the coalition a mask stands for."""
+        return tuple(pid for j, pid in enumerate(self.ids) if mask >> j & 1)
+
+
+@lru_cache(maxsize=None)
+def lex_masks(n: int) -> tuple[int, ...]:
+    """All 2^n masks in lexicographic order of their sorted-id tuples.
+
+    That order is the DFS preorder of the subset tree: the masks over bits
+    j..n-1 are {j}, then {j} joined with each mask over bits j+1..n-1, then
+    the masks over bits j+1..n-1.
+    """
+    tail: list[int] = []
+    for j in reversed(range(n)):
+        b = 1 << j
+        tail = [b, *(b | m for m in tail), *tail]
+    return (0, *tail)
+
+
+def subset_sums(values: Iterable[int]) -> list[int]:
+    """sums[mask] = sum of values[j] over the bits j set in mask."""
+    sums = [0]
+    for v in values:
+        sums += [x + v for x in sums]
+    return sums
+
+
+def popcounts(n: int) -> list[int]:
+    """counts[mask] = number of bits set in mask, for every mask over n bits."""
+    return subset_sums([1] * n)
+
+
 @dataclass(frozen=True)
 class ScenarioMeta:
     """Parameters a game was built from (None for raw table games)."""
@@ -76,10 +122,18 @@ class Game:
     """Immutable coalitional game ⟨players, worth⟩.
 
     `worth` is total over coalitions, nonnegative, zero on the empty set
-    and on every coalition that excludes the seller.
+    and on every coalition that excludes the seller.  `fill_table` maps the
+    sorted player ids to (den, nums) of the same worth function; it runs
+    once, on the first call to `table`.
     """
 
-    def __init__(self, players: tuple[Player, ...], worth_fn, scenario: ScenarioMeta | None):
+    def __init__(
+        self,
+        players: tuple[Player, ...],
+        worth_fn: Callable[[Coalition], Fraction],
+        fill_table: Callable[[tuple[str, ...]], tuple[int, list[int]]],
+        scenario: ScenarioMeta | None,
+    ):
         ids = [p.id for p in players]
         if len(set(ids)) != len(ids):
             raise ValidationError("player ids must be unique")
@@ -94,8 +148,11 @@ class Game:
             )
         self._players = players
         self._ids = frozenset(ids)
+        self._sorted_ids = tuple(sorted(ids))
         self._seller = sellers[0].id
         self._worth_fn = worth_fn
+        self._fill_table = fill_table
+        self._table: WorthTable | None = None
         self._scenario = scenario
 
     @property
@@ -132,12 +189,18 @@ class Game:
             return Fraction(0)
         return self._worth_fn(s)
 
+    def table(self) -> WorthTable:
+        """The worth of every coalition, built on first use and then cached."""
+        if self._table is None:
+            den, nums = self._fill_table(self._sorted_ids)
+            self._table = WorthTable(self._sorted_ids, den, nums)
+        return self._table
+
     def coalitions(self) -> Iterable[Coalition]:
         """All 2^|N| coalitions, in lexicographic order of sorted-id tuples."""
-        ids = sorted(self._ids)
-        subsets = chain.from_iterable(combinations(ids, r) for r in range(len(ids) + 1))
-        for t in sorted(subsets):
-            yield frozenset(t)
+        ids = self._sorted_ids
+        for m in lex_masks(len(ids)):
+            yield frozenset(pid for j, pid in enumerate(ids) if m >> j & 1)
 
     def sale_probability(self) -> Fraction:
         """p + f(N), the grand-coalition selling probability (scenario games)."""
@@ -202,7 +265,15 @@ def build_linear(
         extra = sum((q_map[r] for r in s if r != seller), Fraction(0))
         return (p + extra) * delta
 
-    return Game(players, worth_fn, meta)
+    def fill_table(ids: tuple[str, ...]) -> tuple[int, list[int]]:
+        # the seller's bit carries p*delta, each recommender's bit q_i*delta
+        terms = [p * delta if pid == seller else q_map[pid] * delta for pid in ids]
+        den = math.lcm(*(t.denominator for t in terms))
+        sbit = 1 << ids.index(seller)
+        sums = subset_sums(_numerator(t, den) for t in terms)
+        return den, [x if m & sbit else 0 for m, x in enumerate(sums)]
+
+    return Game(players, worth_fn, fill_table, meta)
 
 
 def build_threshold(
@@ -237,7 +308,18 @@ def build_threshold(
         n_rec = sum(1 for r in s if r != seller)
         return (p + q) * delta if n_rec >= k else p * delta
 
-    return Game(players, worth_fn, meta)
+    def fill_table(ids: tuple[str, ...]) -> tuple[int, list[int]]:
+        low, high = p * delta, (p + q) * delta
+        den = math.lcm(low.denominator, high.denominator)
+        low_num, high_num = _numerator(low, den), _numerator(high, den)
+        sbit = 1 << ids.index(seller)
+        # a coalition with the seller holds popcount - 1 recommenders
+        return den, [
+            (high_num if c > k else low_num) if m & sbit else 0
+            for m, c in enumerate(popcounts(len(ids)))
+        ]
+
+    return Game(players, worth_fn, fill_table, meta)
 
 
 def build_general(
@@ -281,7 +363,11 @@ def build_general(
     def worth_fn(s: Coalition) -> Fraction:
         return (p + table.get(s, Fraction(0))) * delta
 
-    return Game(players, worth_fn, meta)
+    def fill_table(ids: tuple[str, ...]) -> tuple[int, list[int]]:
+        worths = {s: (p + v) * delta for s, v in table.items()}
+        return scatter_table(ids, worths, p * delta, seller)
+
+    return Game(players, worth_fn, fill_table, meta)
 
 
 def from_table(
@@ -319,15 +405,26 @@ def from_table(
             raise ValidationError(f"coalition {sorted(s)} lacks the seller, worth must be 0")
         table[s] = v
 
-    return Game(ps, lambda s: table.get(s, Fraction(0)), None)
+    return Game(
+        ps,
+        lambda s: table.get(s, Fraction(0)),
+        lambda ids: scatter_table(ids, table),
+        None,
+    )
 
 
 def add_games(a: Game, b: Game) -> Game:
     """Pointwise sum (v+w)(S) = v(S)+w(S) over a shared player set."""
     if a.player_ids != b.player_ids or a.seller != b.seller:
         raise ValidationError("games must share the same player set")
-    table = {s: a.worth(s) + b.worth(s) for s in a.coalitions()}
-    return from_table(a.players, table)
+
+    def fill_table(ids: tuple[str, ...]) -> tuple[int, list[int]]:
+        ta, tb = a.table(), b.table()
+        den = math.lcm(ta.den, tb.den)
+        fa, fb = den // ta.den, den // tb.den
+        return den, [x * fa + y * fb for x, y in zip(ta.nums, tb.nums)]
+
+    return Game(a.players, lambda s: a.worth(s) + b.worth(s), fill_table, None)
 
 
 def is_feasible(game: Game, payoff: Mapping[str, Fraction]) -> bool:
@@ -335,6 +432,32 @@ def is_feasible(game: Game, payoff: Mapping[str, Fraction]) -> bool:
     if frozenset(payoff) != game.player_ids:
         raise ValidationError("payoff vector must cover exactly the game's players")
     return sum(payoff.values(), Fraction(0)) == game.worth(game.grand_coalition)
+
+
+def _numerator(x: Fraction, den: int) -> int:
+    """The numerator of x over den, which x's denominator divides."""
+    return x.numerator * (den // x.denominator)
+
+
+def scatter_table(
+    ids: tuple[str, ...],
+    worths: Mapping[Coalition, Fraction],
+    default: Fraction = Fraction(0),
+    seller: str | None = None,
+) -> tuple[int, list[int]]:
+    """(den, nums) over `ids` from a sparse table whose keys are subsets of `ids`.
+
+    Coalitions missing from `worths` are worth `default` when they hold the
+    seller and 0 otherwise.
+    """
+    den = math.lcm(default.denominator, *(v.denominator for v in worths.values()))
+    bit = {pid: 1 << j for j, pid in enumerate(ids)}
+    sbit = 0 if seller is None else bit[seller]
+    base = _numerator(default, den)
+    nums = [base if m & sbit else 0 for m in range(1 << len(ids))]
+    for s, v in worths.items():
+        nums[sum(bit[i] for i in s)] = _numerator(v, den)
+    return den, nums
 
 
 def _check_probability(p: Fraction, what: str) -> None:

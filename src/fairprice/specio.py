@@ -9,7 +9,8 @@ convert exactly (base-10).
 
 Argument-game spec: `arguments` array, `worths` object keyed by
 comma-joined sorted argument ids, `ownership` object recommender id ->
-array of argument ids.
+array of argument ids.  `load_spec` reads either kind, telling them apart
+by the `arguments` field.
 """
 
 from __future__ import annotations
@@ -37,16 +38,30 @@ def _loads(text: str, where: str) -> Any:
         raise ValidationError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}")
 
 
+def _document(src: str | dict, where: str) -> dict:
+    doc = _loads(src, where) if isinstance(src, str) else src
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where}: top level must be an object")
+    return doc
+
+
 def _field(doc: dict, name: str, where: str) -> Any:
     if name not in doc:
         raise ValidationError(f"{where}: missing field {name!r}")
     return doc[name]
 
 
-def load_game(text: str, where: str = "game spec") -> Game:
-    doc = _loads(text, where)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{where}: top level must be an object")
+def load_spec(text: str, where: str = "spec") -> Game | ArgumentGame:
+    """A player game, or an argument game when the spec has `arguments`."""
+    doc = _document(text, where)
+    if "arguments" in doc:
+        return load_argument_game(doc, where)
+    return load_game(doc, where)
+
+
+def load_game(src: str | dict, where: str = "game spec") -> Game:
+    """A player game from spec text or from its parsed JSON document."""
+    doc = _document(src, where)
     players = _field(doc, "players", where)
     if not isinstance(players, list) or not players or not all(isinstance(p, str) for p in players):
         raise ValidationError(f"{where}: 'players' must be a non-empty array of id strings")
@@ -80,10 +95,9 @@ def load_game(text: str, where: str = "game spec") -> Game:
     raise ValidationError(f"{where}: unknown scenario {scenario!r}")
 
 
-def load_argument_game(text: str, where: str = "argument spec") -> ArgumentGame:
-    doc = _loads(text, where)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{where}: top level must be an object")
+def load_argument_game(src: str | dict, where: str = "argument spec") -> ArgumentGame:
+    """An argument game from spec text or from its parsed JSON document."""
+    doc = _document(src, where)
     arguments = _field(doc, "arguments", where)
     worths_raw = _field(doc, "worths", where)
     ownership_raw = _field(doc, "ownership", where)

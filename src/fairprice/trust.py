@@ -92,21 +92,49 @@ INITIAL_STATE = TrustState(0, 0)
 def recovery_threshold(l: Rational, g: Rational, *, cap: int = 10**6) -> int | None:
     """Smallest number of recovery steps that outweighs one failure's loss,
     i.e. the least integer m with l * g^m >= 1.  None when g <= 1 (or l = 0),
-    where no finite number of steps suffices."""
+    where no finite number of steps suffices.
+
+    m = ceil(ln(1/l) / ln g).  A float estimate of that ratio, widened by its
+    error bound, decides m unless an integer lies within the bound (as when
+    l * g^m = 1 exactly); only then are the candidates checked in exact
+    integer arithmetic.
+    """
     l = as_fraction(l, "l")
     g = as_fraction(g, "g")
     if not (0 <= l < 1):
         raise ValidationError(f"l must lie in [0, 1), got {l}")
     if g <= 1 or l == 0:
         return None
-    acc = l
-    m = 0
-    while acc < 1:
-        acc *= g
-        m += 1
-        if m > cap:
-            raise ResourceCapError(f"recovery threshold exceeds {cap} steps")
-    return m
+    # ln(1/l) >= 1 - l and ln g <= g - 1, so m >= (1 - l) / (g - 1)
+    if (1 - l) / (g - 1) <= cap:
+        loss_r, loss_c = _ln_split(1 / l)
+        gain_r, gain_c = _ln_split(g)
+        ratio = float(loss_r / gain_r) * loss_c / gain_c
+        bits = max(x.bit_length() for x in (l.numerator, l.denominator, g.numerator, g.denominator))
+        eps = 2.0**-48 * (8 + bits)  # >= 4x the rounding error of the estimate
+        lo = max(1, math.ceil(ratio * (1 - eps)))
+        hi = max(1, math.ceil(ratio * (1 + eps)))
+
+        def reaches(m: int) -> bool:  # l * g^m >= 1, in integers
+            return l.numerator * g.numerator**m >= l.denominator * g.denominator**m
+
+        m = lo if lo > cap else next((m for m in range(lo, hi) if reaches(m)), hi)
+        if m <= cap:
+            return m
+    raise ResourceCapError(f"recovery threshold exceeds {cap} steps")
+
+
+def _ln_split(y: Fraction) -> tuple[Fraction, float]:
+    """ln y for y > 1 as an exact rational factor times a float factor.
+
+    Near 1 the rational factor is y - 1 itself, so tiny logarithms keep
+    their digits and never underflow; the float factor is then ln(y)/(y-1).
+    """
+    d = y - 1
+    if d < 1:
+        fd = float(d)
+        return d, math.log1p(fd) / fd if fd else 1.0
+    return Fraction(1), math.log(y.numerator) - math.log(y.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from fractions import Fraction as F
 
 import fairprice as fp
 from fairprice import TrustParams
-from fairprice.fair_division import shapley_permutation_oracle
 from fairprice.trust import AllPolicy, expected_curve
 from fairprice.verification import run_suite
+from oracles import shapley_permutation_oracle
 
 
 def _report(criterion: str, detail: str) -> None:

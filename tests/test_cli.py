@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,18 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("name", ["linear10", "general6"])
+def test_price_shapley_core_golden(name, capsys, monkeypatch):
+    """Byte-exact stdout: Shapley values plus a Core point (linear10) or a
+    Farkas certificate over all 62 proper coalitions (general6)."""
+    golden = Path(__file__).parent / "golden"
+    monkeypatch.chdir(golden.parent.parent)
+    argv = ["price", "--game", f"tests/golden/{name}.json", "--method", "shapley,core-nonempty"]
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert out == (golden / f"{name}.out").read_text(encoding="utf-8")
 
 
 def test_price_shapley_rows(linear_spec, capsys):
@@ -108,7 +121,7 @@ def test_price_malformed_spec(tmp_path, capsys):
     code = main(["price", "--game", str(bad), "--method", "shapley"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "line" in err
+    assert err == f"error: {bad}: invalid JSON at line 1: Expecting ',' delimiter\n"
 
 
 def test_price_missing_field(tmp_path, capsys):
@@ -150,6 +163,7 @@ def test_price_rejects_top_level_array(tmp_path, capsys):
     bad = tmp_path / "arr.json"
     bad.write_text("[1, 2, 3]", encoding="utf-8")
     assert main(["price", "--game", str(bad), "--method", "shapley"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: top level must be an object\n"
 
 
 def test_simulate_single_step_optimal(capsys):

@@ -6,13 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
 from fairprice import ValidationError
-from fairprice.fair_division import (
-    nash_product_grid_oracle,
-    scale_margin,
-    scaled_report_grid,
-    shapley_permutation_oracle,
-)
+from fairprice.fair_division import scale_margin, scaled_report_grid
 from fairprice.verification import random_table_game
+from oracles import nash_product_grid_oracle, shapley_permutation_oracle
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from fairprice import ValidationError
+from fairprice import ArgumentGame, Game, ValidationError
 from fairprice.specio import (
     coalition_key,
     curves_to_csv,
     load_argument_game,
     load_game,
     load_payoff_vector,
+    load_spec,
     read_curve_csv,
 )
 from fairprice.trust import RewardCurve
@@ -64,6 +65,17 @@ def test_load_argument_game():
     assert ag.worth({"a", "b"}) == F(1, 2)
     assert ag.worth({"a"}) == F(1, 4)
     assert ag.declared == frozenset({"a", "b"})
+
+
+def test_load_spec_tells_the_kinds_apart():
+    game = load_spec(
+        '{"players": ["s", "r1"], "scenario": "linear", "p": 0.1, "delta": 1, "q": [0.2]}'
+    )
+    assert isinstance(game, Game) and game.seller == "s"
+    ag = load_spec('{"arguments": ["a"], "worths": {"a": 1}, "ownership": {"r1": ["a"]}}')
+    assert isinstance(ag, ArgumentGame) and ag.worth({"a"}) == 1
+    with pytest.raises(ValidationError, match="^x.json: top level must be an object$"):
+        load_spec("[1]", "x.json")
 
 
 def test_load_payoff_vector():

@@ -1,9 +1,11 @@
 import math
+import time
 from fractions import Fraction as F
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fairprice as fp
 from fairprice import TrustParams, TrustState, ValidationError
@@ -61,6 +63,50 @@ def test_recovery_threshold():
     assert fp.recovery_threshold("0.5", 2) == 1  # l * g = 1 exactly
     assert fp.recovery_threshold("0.66", 1) is None
     assert fp.recovery_threshold(0, 2) is None
+
+
+def test_recovery_threshold_bounded_time():
+    start = time.perf_counter()
+    assert fp.recovery_threshold("0.5", "1.000001") == 693148
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        fp.recovery_threshold("0.5", "1.0000001")  # needs 6931472 steps
+    assert time.perf_counter() - start < 1
+
+
+def _threshold_by_steps(l, g, cap):
+    acc, m = F(l), 0
+    while acc < 1:
+        acc *= F(g)
+        m += 1
+        if m > cap:
+            return None
+    return m
+
+
+@pytest.mark.parametrize(
+    "l, g, m",
+    [("1/8", 2, 3), ("4/9", "3/2", 2), ("1/1000", 10, 3), ("0.999", "1000/999", 1)],
+)
+def test_recovery_threshold_exact_at_equality(l, g, m):
+    """l * g^m = 1 exactly: the float estimate alone cannot decide these."""
+    assert F(l) * F(g) ** m == 1
+    assert fp.recovery_threshold(l, g) == m
+
+
+@given(
+    l=st.fractions(min_value=F(1, 10**6), max_value=F(999, 1000), max_denominator=10**6),
+    g=st.fractions(min_value=F(1001, 1000), max_value=50, max_denominator=1000),
+)
+def test_recovery_threshold_matches_stepping(l, g):
+    cap = 500
+    want = _threshold_by_steps(l, g, cap)
+    if want is None:
+        with pytest.raises(ResourceCapError):
+            fp.recovery_threshold(l, g, cap=cap)
+    else:
+        assert fp.recovery_threshold(l, g, cap=cap) == want
 
 
 # ---------------------------------------------------------------------------
