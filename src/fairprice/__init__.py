@@ -54,7 +54,6 @@ from .trust import (
     Policy,
     RewardCurve,
     TrustParams,
-    TrustState,
     dilog,
     dilog_series,
     dp_optimal,

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceCapError, ValidationError
 from .games import (
+    MAX_PLAYERS_ENV,
     Coalition,
     Game,
     PayoffVector,
@@ -29,7 +30,7 @@ from .games import (
     popcounts,
     scatter_table,
 )
-from .rational import Rational, as_fraction
+from .rational import Rational, as_fraction, brief_str
 
 PAY_PER_RECOMMENDATION = "per-recommendation"
 PAY_PER_SALE = "per-sale"
@@ -105,7 +106,7 @@ class ArgumentGame:
                 raise ValidationError(f"worth key {sorted(s)} uses unknown arguments")
             v = as_fraction(raw, f"worth[{sorted(s)}]")
             if v < 0:
-                raise ValidationError(f"argument worth must be >= 0, got {v}")
+                raise ValidationError(f"argument worth must be >= 0, got {brief_str(v)}")
             if not s and v != 0:
                 raise ValidationError("the empty argument set must have worth 0")
             table[s] = v
@@ -141,6 +142,11 @@ def _uniform_marginal_value(worths: Mapping[Coalition, Fraction], ids: Sequence[
     `worths` is sparse over subsets of `ids`; missing coalitions are worth 0.
     """
     n = len(ids)
+    cap = max_players()
+    if n > cap:
+        raise ResourceCapError(
+            f"{n} arguments exceeds the cap of {cap} (override with {MAX_PLAYERS_ENV})"
+        )
     den, nums = scatter_table(tuple(ids), worths)
     totals = _marginal_sums(nums, [1] * n)
     scale = den * math.factorial(n)

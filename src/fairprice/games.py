@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import ResourceCapError, ValidationError
-from .rational import Rational, as_fraction
+from .rational import Rational, as_fraction, brief_str
 
 SELLER = "seller"
 RECOMMENDER = "recommender"
@@ -251,10 +251,10 @@ def build_linear(
         q_map = dict(zip(rec_ids, q_list))
     _check_probability(p, "p")
     if delta < 0:
-        raise ValidationError(f"delta must be >= 0, got {delta}")
+        raise ValidationError(f"delta must be >= 0, got {brief_str(delta)}")
     for r, q in q_map.items():
         if q < 0:
-            raise ValidationError(f"q[{r}] must be >= 0, got {q}")
+            raise ValidationError(f"q[{r}] must be >= 0, got {brief_str(q)}")
     if p + sum(q_map.values(), Fraction(0)) > 1:
         raise ValidationError("p + sum(q_i) exceeds 1 (probability overflow)")
 
@@ -292,11 +292,11 @@ def build_threshold(
     q = as_fraction(q, "q")
     _check_probability(p, "p")
     if delta < 0:
-        raise ValidationError(f"delta must be >= 0, got {delta}")
+        raise ValidationError(f"delta must be >= 0, got {brief_str(delta)}")
     if not (1 <= k <= n):
         raise ValidationError(f"threshold k must satisfy 1 <= k <= n, got k={k}, n={n}")
     if q < 0 or p + q > 1:
-        raise ValidationError(f"q must lie in [0, 1-p], got q={q} with p={p}")
+        raise ValidationError(f"q must lie in [0, 1-p], got q={brief_str(q)} with p={brief_str(p)}")
     rec_ids = list(recommenders) if recommenders is not None else _default_ids(n)
     if len(rec_ids) != n:
         raise ValidationError("number of recommender ids must equal n")
@@ -339,7 +339,7 @@ def build_general(
     delta = as_fraction(delta, "delta")
     _check_probability(p, "p")
     if delta < 0:
-        raise ValidationError(f"delta must be >= 0, got {delta}")
+        raise ValidationError(f"delta must be >= 0, got {brief_str(delta)}")
     rec_ids = list(recommenders)
     valid = frozenset(rec_ids) | {seller}
 
@@ -352,7 +352,7 @@ def build_general(
             raise ValidationError(f"uplift key {sorted(s)} must contain the seller")
         v = as_fraction(raw, f"uplift[{sorted(s)}]")
         if not (0 <= v <= 1 - p):
-            raise ValidationError(f"uplift value {v} outside [0, 1-p] for {sorted(s)}")
+            raise ValidationError(f"uplift value {brief_str(v)} outside [0, 1-p] for {sorted(s)}")
         if s == frozenset({seller}) and v != 0:
             raise ValidationError("uplift of the seller alone must be 0")
         table[s] = v
@@ -398,7 +398,7 @@ def from_table(
             raise ValidationError(f"worth key {sorted(s)} uses unknown player ids")
         v = as_fraction(raw, f"worth[{sorted(s)}]")
         if v < 0:
-            raise ValidationError(f"worth must be nonnegative, got {v} for {sorted(s)}")
+            raise ValidationError(f"worth must be nonnegative, got {brief_str(v)} for {sorted(s)}")
         if not s and v != 0:
             raise ValidationError("the empty coalition must have worth 0")
         if seller_id not in s and v != 0:
@@ -462,4 +462,4 @@ def scatter_table(
 
 def _check_probability(p: Fraction, what: str) -> None:
     if not (0 <= p <= 1):
-        raise ValidationError(f"{what} must lie in [0, 1], got {p}")
+        raise ValidationError(f"{what} must lie in [0, 1], got {brief_str(p)}")

@@ -45,6 +45,18 @@ def as_fraction(value: Rational, what: str = "value") -> Fraction:
     raise ValidationError(f"{what}: expected a number, got {type(value).__name__}")
 
 
+def brief_str(x: Fraction) -> str:
+    """str(x) for numbers of at most about 40 digits, else an approximate
+    scientific form such as "~1e+100000": Python refuses to convert
+    integers of more than 4300 digits to text.
+    """
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) <= 133:
+        return str(x)
+    exp10 = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+    e = math.floor(exp10)
+    return f"~{'-' if x < 0 else ''}{10 ** (exp10 - e):.4g}e{e:+d}"
+
+
 def frac_str(x: Fraction) -> str:
     """Exact rendering, e.g. Fraction(3, 5) -> "3/5", Fraction(2) -> "2"."""
     return str(x)

@@ -36,6 +36,8 @@ def _loads(text: str, where: str) -> Any:
         return json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal past int()'s digit limit
+        raise ValidationError(f"{where}: invalid JSON: {exc}")
 
 
 def _document(src: str | dict, where: str) -> dict:

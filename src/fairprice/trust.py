@@ -16,15 +16,17 @@ are exact by construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
 
 from .errors import ResourceCapError, ValidationError
-from .rational import Rational, as_fraction
+from .rational import Rational, as_fraction, brief_str
 
 DEFAULT_DP_CAP = 500
 
@@ -41,52 +43,18 @@ class TrustParams:
     reset: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "p0", as_fraction(self.p0, "p0"))
-        object.__setattr__(self, "l", as_fraction(self.l, "l"))
-        object.__setattr__(self, "g", as_fraction(self.g, "g"))
-        object.__setattr__(self, "r", as_fraction(self.r, "r"))
+        for name in ("p0", "l", "g", "r"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name), name))
         if not (0 < self.p0 < 1):
-            raise ValidationError(f"p0 must lie in (0, 1), got {self.p0}")
+            raise ValidationError(f"p0 must lie in (0, 1), got {brief_str(self.p0)}")
         if not (0 <= self.l < 1):
-            raise ValidationError(f"l must lie in [0, 1), got {self.l}")
+            raise ValidationError(f"l must lie in [0, 1), got {brief_str(self.l)}")
         if self.g < 1:
-            raise ValidationError(f"g must be >= 1, got {self.g}")
-        if self.r <= 0:
-            raise ValidationError(f"r must be > 0, got {self.r}")
-
-
-def _recovery_resets(tp: TrustParams, fails: int, boosts: int) -> bool:
-    """Exact clamp test: does one more recovery step reach full trust?
-
-    True iff l^fails * g^(boosts+1) >= 1, compared via big-integer
-    cross-multiplication.
-    """
-    ln, ld = tp.l.numerator, tp.l.denominator
-    gn, gd = tp.g.numerator, tp.g.denominator
-    return ln**fails * gn ** (boosts + 1) >= ld**fails * gd ** (boosts + 1)
-
-
-@dataclass(frozen=True)
-class TrustState:
-    fails: int
-    boosts: int
-
-    def value(self, tp: TrustParams) -> Fraction:
-        return tp.p0 * tp.l**self.fails * tp.g**self.boosts
-
-    def after_skip(self, tp: TrustParams) -> "TrustState":
-        if _recovery_resets(tp, self.fails, self.boosts):
-            return TrustState(0, 0)
-        return TrustState(self.fails, self.boosts + 1)
-
-    def after_failure(self) -> "TrustState":
-        return TrustState(self.fails + 1, self.boosts)
-
-    def after_success(self, tp: TrustParams) -> "TrustState":
-        return TrustState(0, 0) if tp.reset else self
-
-
-INITIAL_STATE = TrustState(0, 0)
+            raise ValidationError(f"g must be >= 1, got {brief_str(self.g)}")
+        if not 0 < self.r <= sys.float_info.max:
+            raise ValidationError(
+                f"r must be > 0 and within the float range, got {brief_str(self.r)}"
+            )
 
 
 def recovery_threshold(l: Rational, g: Rational, *, cap: int = 10**6) -> int | None:
@@ -102,7 +70,7 @@ def recovery_threshold(l: Rational, g: Rational, *, cap: int = 10**6) -> int | N
     l = as_fraction(l, "l")
     g = as_fraction(g, "g")
     if not (0 <= l < 1):
-        raise ValidationError(f"l must lie in [0, 1), got {l}")
+        raise ValidationError(f"l must lie in [0, 1), got {brief_str(l)}")
     if g <= 1 or l == 0:
         return None
     # ln(1/l) >= 1 - l and ln g <= g - 1, so m >= (1 - l) / (g - 1)
@@ -304,32 +272,43 @@ class RewardCurve:
 
 
 class Policy:
-    """Per-step recommend/skip rule.  Subclasses override `decide`; the
-    vectorized mask hook lets simulations avoid per-element Python calls."""
+    """Per-step recommend/skip rule over trust states (fails, boosts).
+
+    Subclasses override `decision_mask`, which decides for whole arrays of
+    states at once.
+    """
 
     name = "policy"
 
-    def decide(self, step: int, state: TrustState) -> bool:
+    def decision_mask(self, step: int, fails: np.ndarray, boosts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def decision_mask(self, step: int, fails: np.ndarray, boosts: np.ndarray) -> np.ndarray:
-        out = np.empty(fails.shape, dtype=bool)
-        for i in range(len(out)):
-            out[i] = self.decide(step, TrustState(int(fails[i]), int(boosts[i])))
-        return out
+    def decide(self, step: int, fails: int = 0, boosts: int = 0) -> bool:
+        return bool(self.decision_mask(step, np.array([fails]), np.array([boosts]))[0])
+
+    def _on_states(self, step: int, kernel: _Kernel, states: np.ndarray) -> np.ndarray:
+        """The decisions for an array of kernel state indices."""
+        return self.decision_mask(step, kernel.fails[states], kernel.boosts[states])
 
 
-class AllPolicy(Policy):
-    name = "all"
-
-    def decide(self, step: int, state: TrustState) -> bool:
-        return True
+class _StepRule(Policy):
+    """A policy whose decision depends on the step alone, `_recommends(step)`."""
 
     def decision_mask(self, step, fails, boosts):
-        return np.ones(fails.shape, dtype=bool)
+        return np.full(np.shape(fails), self._recommends(step))
+
+    def _on_states(self, step, kernel, states):
+        return np.full(states.shape, self._recommends(step))
 
 
-class EveryK(Policy):
+class AllPolicy(_StepRule):
+    name = "all"
+
+    def _recommends(self, step: int) -> bool:
+        return True
+
+
+class EveryK(_StepRule):
     """Recommend every k-th step (steps k, 2k, ...): floor(n/k) times in n steps."""
 
     def __init__(self, k: int):
@@ -338,80 +317,146 @@ class EveryK(Policy):
         self.k = k
         self.name = f"every-{k}"
 
-    def decide(self, step: int, state: TrustState) -> bool:
+    def _recommends(self, step: int) -> bool:
         return step % self.k == 0
-
-    def decision_mask(self, step, fails, boosts):
-        return np.full(fails.shape, step % self.k == 0, dtype=bool)
 
 
 class OptimalPolicy(Policy):
     """Decision tables from the finite-horizon dynamic program.
 
-    Table index is the remaining horizon; at elapsed step i of an n-step
-    run the decision is tables[n - i + 1][fails, boosts].
+    tables[t], for t steps remaining, holds one decision per kernel state
+    that can be occupied by then: the prefix of depth <= horizon - t.
     """
 
     name = "optimal"
 
-    def __init__(self, horizon: int, tables: Sequence[np.ndarray | None]):
-        self.horizon = horizon
+    def __init__(self, kernel: _Kernel, tables: Sequence[np.ndarray | None]):
+        self.horizon = kernel.n
+        self._kernel = kernel
         self._tables = tables
 
     def _table(self, step: int) -> np.ndarray:
         remaining = self.horizon - step + 1
         if not 1 <= remaining <= self.horizon:
-            raise ValidationError(
-                f"step {step} outside this policy's horizon {self.horizon}"
-            )
+            raise ValidationError(f"step {step} outside this policy's horizon {self.horizon}")
         return self._tables[remaining]
 
-    def decide(self, step: int, state: TrustState) -> bool:
-        return bool(self._table(step)[state.fails, state.boosts])
-
     def decision_mask(self, step, fails, boosts):
-        return self._table(step)[fails, boosts]
+        table = self._table(step)
+        return table[self._kernel.index(fails, boosts, step - 1)]
+
+    def _on_states(self, step, kernel, states):
+        if kernel.tp != self._kernel.tp:
+            return super()._on_states(step, kernel, states)
+        # kernels of one process list their states in one order
+        return self._table(step)[states]
 
 
 # ---------------------------------------------------------------------------
-# Exact grids shared by the DP and the vectorized simulator
+# The reachable-state kernel shared by the DP, the expectation and Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _clamp_matrix(tp: TrustParams, rows: int, cols: int) -> np.ndarray:
-    """clamp[a, b]: a recovery step from (a, b) returns to full trust.
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """The trust states reachable from (0, 0) within n steps, with their
+    success probabilities and transitions as flat index arrays.
 
-    Exact big-integer comparisons; the threshold column is nondecreasing in
-    a, so a moving pointer fills each row.
+    (fails, boosts) is reachable within d steps iff fails + boosts <= d and
+    boosts <= frontier[fails], from where a skip returns to full trust.
+    States are sorted by depth fails + boosts, then fails, so those reachable
+    within d steps are the prefix [:depth_end[d]].  With g = 1 boosts never
+    change trust and stay 0.  Moves out of the deepest layer, which no caller
+    takes, point back at the state.
     """
+
+    tp: TrustParams
+    n: int
+    collapsed: bool
+    frontier: np.ndarray  # per fails count, capped at n
+    depth_end: np.ndarray
+    fails: np.ndarray
+    boosts: np.ndarray
+    p: np.ndarray  # min(p0, p0 * l^fails * g^boosts)
+    skip: np.ndarray  # the next state after a skip, a failure and a success
+    fail: np.ndarray
+    succ: np.ndarray
+
+    def index(self, fails, boosts, depth: int) -> np.ndarray:
+        """Indices of the states (fails, boosts), which must all be
+        reachable within `depth` steps."""
+        a = np.asarray(fails, dtype=np.int64)
+        b = np.asarray(boosts, dtype=np.int64)
+        ok = (a >= 0) & (b >= 0) & (a + b <= depth)
+        ok &= b <= self.frontier[np.where(ok, a, 0)]
+        if not ok.all():
+            i = np.flatnonzero(~ok)[0]
+            state = f"(fails={a.flat[i]}, boosts={b.flat[i]})"
+            raise ValidationError(f"state {state} is not reachable within {depth} steps")
+        if self.collapsed:
+            b = np.zeros_like(b)
+        return self.depth_end[a + b] - b - 1
+
+
+@lru_cache(maxsize=8)
+def _kernel(tp: TrustParams, n: int) -> _Kernel:
+    depths = np.arange(n + 2)
+    frontier = _clamp_columns(tp, n + 2, n)
+    collapsed = tp.g == 1
+    layout = np.zeros_like(frontier) if collapsed else frontier
+    # depth d holds fails a = d, d-1, ... down to the least a with
+    # a + layout[a] >= d (strictly increasing in a)
+    counts = depths - np.searchsorted(depths + layout, depths) + 1
+    ends = np.cumsum(counts)
+    total = int(ends[n])
+    state = np.arange(total)
+    depth = np.repeat(depths, counts)[:total]
+    boosts = ends[depth] - state - 1
+    fails = depth - boosts
+
+    inner = depth < n
+    fail = np.where(inner, ends[depth + 1] - boosts - 1, state)
+    grow = state if collapsed else np.where(inner, ends[depth + 1] - boosts - 2, state)
+    skip = np.where(boosts == frontier[fails], 0, grow)
+    succ = np.zeros(total, dtype=state.dtype) if tp.reset else state
+
+    p0f, lf = float(tp.p0), float(tp.l)
+    gf = float(tp.g) if tp.g <= sys.float_info.max else math.inf
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # np.power over one 0..n+1 array keeps the output bit-identical to the golden file
+        lpow = np.power(lf, depths)[fails]
+        gpow = np.power(gf, depths)[boosts]
+        p = np.minimum(p0f, p0f * (lpow * gpow))
+        far = (lpow < sys.float_info.min) & (fails > 0) | np.isinf(gpow)
+        if far.any():  # l^a underflows or g^b overflows: add logarithms
+            logp = fails[far] * _ln(tp.l) + boosts[far] * _ln(tp.g)
+            p[far] = np.minimum(p0f, p0f * np.exp(logp))
+    return _Kernel(tp, n, collapsed, frontier[: n + 1], ends[: n + 1],
+                   fails, boosts, p, skip, fail, succ)
+
+
+def _clamp_columns(tp: TrustParams, rows: int, cap: int) -> np.ndarray:
+    """col[a], a < rows: the least b with l^a * g^(b+1) >= 1 (a skip returns
+    to full trust), capped at `cap`.  Exact big-integer comparisons; col is
+    nondecreasing in a, so one pointer moves across all rows."""
     ln, ld = tp.l.numerator, tp.l.denominator
     gn, gd = tp.g.numerator, tp.g.denominator
-    out = np.zeros((rows, cols), dtype=bool)
-    gn_pow = [1] * (cols + 1)
-    gd_pow = [1] * (cols + 1)
-    for j in range(1, cols + 1):
-        gn_pow[j] = gn_pow[j - 1] * gn
-        gd_pow[j] = gd_pow[j - 1] * gd
-    lhs, rhs = 1, 1  # ln^a, ld^a
+    col = np.empty(rows, dtype=np.int64)
+    lhs, rhs = gn, gd  # l^a * g^(b+1) as numerator and denominator
     b = 0
     for a in range(rows):
-        while b < cols and lhs * gn_pow[b + 1] < rhs * gd_pow[b + 1]:
+        while b < cap and lhs < rhs:
             b += 1
-        out[a, b:] = True
+            lhs *= gn
+            rhs *= gd
+        col[a] = b
         lhs *= ln
         rhs *= ld
-    return out
+    return col
 
 
-def _value_matrix(tp: TrustParams, rows: int, cols: int) -> np.ndarray:
-    """value[a, b] = min(p0, p0 * l^a * g^b) as float64."""
-    p0f, lf, gf = float(tp.p0), float(tp.l), float(tp.g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.power(lf, np.arange(rows))[:, None] * np.power(gf, np.arange(cols))[None, :]
-    # inf only means "clamped at p0"; 0*inf cells (l = 0) are dead trust
-    grid = np.nan_to_num(grid, nan=0.0, posinf=np.inf)
-    if lf == 0.0:
-        grid[1:, :] = 0.0
-    return np.minimum(p0f, p0f * grid)
+def _ln(x: Fraction) -> float:
+    """ln x, finite for every positive x, even outside the float range."""
+    return math.log(x.numerator) - math.log(x.denominator) if x else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -421,52 +466,32 @@ def _value_matrix(tp: TrustParams, rows: int, cols: int) -> np.ndarray:
 def expected_curve(tp: TrustParams, policy: Policy, n: int, *, prune: float = 0.0) -> RewardCurve:
     """Exact-expectation cumulative reward curve of a fixed policy.
 
-    Evolves the full state distribution step by step; probabilities are
-    float64, state bookkeeping (clamping) is exact.  States carrying less
-    than `prune` probability are dropped as they arise, undercounting the
-    curve by at most n * prune * r per step (default 0: keep everything).
+    Moves the state distribution forward over the states that carry
+    probability; probabilities are float64, clamping is exact.  States
+    carrying less than `prune` probability are dropped as they arise,
+    undercounting the curve by at most n * prune * r per step (default 0:
+    keep everything).
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     if prune < 0:
         raise ValidationError("prune must be >= 0")
+    k = _kernel(tp, n)
     rf = float(tp.r)
-    clamp_cache: dict[tuple[int, int], bool] = {}
-    value_cache: dict[tuple[int, int], float] = {}
-    p0f, lf, gf = float(tp.p0), float(tp.l), float(tp.g)
-
-    def clamps(a: int, b: int) -> bool:
-        key = (a, b)
-        if key not in clamp_cache:
-            clamp_cache[key] = _recovery_resets(tp, a, b)
-        return clamp_cache[key]
-
-    def value(a: int, b: int) -> float:
-        key = (a, b)
-        if key not in value_cache:
-            value_cache[key] = min(p0f, p0f * lf**a * gf**b)
-        return value_cache[key]
-
-    dist: dict[tuple[int, int], float] = {(0, 0): 1.0}
+    live = np.zeros(1, dtype=np.intp)  # states with probability, and that probability
+    mass = np.ones(1)
     cum = 0.0
     values = []
     for step in range(1, n + 1):
-        nxt: dict[tuple[int, int], float] = {}
-
-        def put(key, pr):
-            nxt[key] = nxt.get(key, 0.0) + pr
-
-        for (a, b), pr in dist.items():
-            if policy.decide(step, TrustState(a, b)):
-                p = value(a, b)
-                cum += pr * p * rf
-                put((0, 0) if tp.reset else (a, b), pr * p)
-                put((a + 1, b), pr * (1.0 - p))
-            else:
-                put((0, 0) if clamps(a, b) else (a, b + 1), pr)
-        if prune:
-            nxt = {k: v for k, v in nxt.items() if v >= prune}
-        dist = nxt
+        rec = policy._on_states(step, k, live)
+        p = k.p[live]
+        won = mass * p
+        cum += float(won[rec].sum()) * rf
+        to = np.concatenate([np.where(rec, k.succ[live], k.skip[live]), k.fail[live[rec]]])
+        weight = np.concatenate([np.where(rec, won, mass), (mass * (1.0 - p))[rec]])
+        acc = np.bincount(to, weight)
+        live = np.flatnonzero(acc >= prune if prune else acc)
+        mass = acc[live]
         values.append(cum)
     return RewardCurve(policy.name, tuple(values))
 
@@ -502,41 +527,33 @@ def dp_optimal(
 ) -> tuple[RewardCurve, OptimalPolicy]:
     """Optimal expected reward for every horizon up to n, plus the policy.
 
-    Value recurrence over states (fails, boosts) with t steps remaining:
+    Value recurrence over states s with t steps remaining:
         V(t, s) = max( V(t-1, skip(s)),
                        p(s) * (r + V(t-1, success(s))) + (1-p(s)) * V(t-1, fail(s)) )
-    with V(0, .) = 0.  The curve holds V(t, initial) for t = 1..n.  Ties
-    choose skip, so the tables are deterministic.
+    with V(0, .) = 0.  With t steps remaining only the kernel states of
+    depth <= n - t can be occupied, so each sweep covers that prefix.  The
+    curve holds V(t, initial) for t = 1..n.  Ties choose skip, so the tables
+    are deterministic.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     if n > cap:
         raise ResourceCapError(f"horizon {n} exceeds the DP cap of {cap}")
-    size = n + 2  # one padding row/column beyond any reachable exponent
-    value = _value_matrix(tp, size, size)
-    clamp = _clamp_matrix(tp, size, size)
+    k = _kernel(tp, n)
     rf = float(tp.r)
-
-    v = np.zeros((size, size))
+    v = np.zeros(k.depth_end[n])
     tables: list[np.ndarray | None] = [None]
     curve = []
-    for _rem in range(1, n + 1):
-        v_shift_b = np.empty_like(v)  # V[a, b+1]
-        v_shift_b[:, :-1] = v[:, 1:]
-        v_shift_b[:, -1] = v[:, -1]
-        v_skip = np.where(clamp, v[0, 0], v_shift_b)
-
-        v_shift_a = np.empty_like(v)  # V[a+1, b]
-        v_shift_a[:-1, :] = v[1:, :]
-        v_shift_a[-1, :] = v[-1, :]
-        v_success = v[0, 0] if tp.reset else v
-        v_rec = value * (rf + v_success) + (1.0 - value) * v_shift_a
-
+    for rem in range(1, n + 1):
+        m = k.depth_end[n - rem]
+        p = k.p[:m]
+        v_skip = v[k.skip[:m]]
+        v_success = v[0] if tp.reset else v[:m]
+        v_rec = p * (rf + v_success) + (1.0 - p) * v[k.fail[:m]]
         tables.append(v_rec > v_skip)  # strict: ties go to skip
         v = np.maximum(v_skip, v_rec)
-        curve.append(float(v[0, 0]))
-
-    return RewardCurve("optimal", tuple(curve)), OptimalPolicy(n, tables)
+        curve.append(float(v[0]))
+    return RewardCurve("optimal", tuple(curve)), OptimalPolicy(k, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -550,47 +567,30 @@ def mc_simulate(
 
     One PCG64 stream seeded with `seed` draws an n-by-trials uniform matrix
     in step-major order; trial j always consumes column j, so results are
-    bit-reproducible and independent of any execution interleaving.  Returns
-    per-step means with standard errors.
+    bit-reproducible and independent of any execution interleaving.  Each
+    trial holds one kernel state index.  Returns per-step means with
+    standard errors.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    size = n + 2
-    value = _value_matrix(tp, size, size)
-    clamp = _clamp_matrix(tp, size, size)
+    k = _kernel(tp, n)
     rf = float(tp.r)
+    moves = np.concatenate([k.skip, k.fail, k.succ])
 
-    fails = np.zeros(trials, dtype=np.int64)
-    boosts = np.zeros(trials, dtype=np.int64)
+    s = np.zeros(trials, dtype=np.intp)
     cum = np.zeros(trials)
     means = np.empty(n)
     errs = np.empty(n)
     scale = math.sqrt(trials) if trials > 1 else 1.0
     for step in range(1, n + 1):
         u = rng.random(trials)
-        rec = policy.decision_mask(step, fails, boosts)
-        p = value[fails, boosts]
-        clamped = clamp[fails, boosts]
-        success = rec & (u < p)
-        failure = rec & ~(u < p)
-        skip = ~rec
-        cum[success] += rf
-
-        new_fails = fails.copy()
-        new_boosts = boosts.copy()
-        if tp.reset:
-            new_fails[success] = 0
-            new_boosts[success] = 0
-        new_fails[failure] = fails[failure] + 1
-        reset_skip = skip & clamped
-        grow_skip = skip & ~clamped
-        new_fails[reset_skip] = 0
-        new_boosts[reset_skip] = 0
-        new_boosts[grow_skip] = boosts[grow_skip] + 1
-        fails, boosts = new_fails, new_boosts
+        rec = policy._on_states(step, k, s)
+        won = rec & (u < k.p[s])
+        cum += won * rf
+        s = moves[(rec.astype(np.intp) + won) * len(k.p) + s]
 
         means[step - 1] = cum.mean()
         errs[step - 1] = cum.std(ddof=1) / scale if trials > 1 else 0.0

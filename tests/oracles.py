@@ -2,10 +2,14 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
+
+import numpy as np
 
 from fairprice.fair_division import BargainingProblem
 from fairprice.games import Game, PayoffVector
+from fairprice.trust import TrustParams
 
 
 def shapley_permutation_oracle(game: Game) -> PayoffVector:
@@ -60,3 +64,110 @@ def nash_product_grid_oracle(bp: BargainingProblem, steps: int = 60) -> PayoffVe
 
     rec(0, steps, [])
     return {i: d_i + Fraction(b, steps) * surplus for i, d_i, b in zip(ids, d, best)}
+
+
+# ---------------------------------------------------------------------------
+# Trust decay
+# ---------------------------------------------------------------------------
+
+def trust_moves(tp: TrustParams, state: tuple[int, int]) -> dict[str, tuple[int, int]]:
+    """The state (fails, boosts) after a skip, a failure and a success, with
+    the clamp decided on exact Fractions."""
+    a, b = state
+    skip = (0, 0) if tp.l**a * tp.g ** (b + 1) >= 1 else (a, b + 1)
+    return {"skip": skip, "fail": (a + 1, b), "success": (0, 0) if tp.reset else state}
+
+
+def reachable_states(tp: TrustParams, n: int) -> list[set]:
+    """levels[i]: the states that can be occupied after i steps, by search."""
+    levels = [{(0, 0)}]
+    for _ in range(n):
+        levels.append({m for s in levels[-1] for m in trust_moves(tp, s).values()})
+    return levels
+
+
+def state_dp_oracle(tp: TrustParams):
+    """Finite-horizon DP over (fails, boosts) tuples, memoized by dict; the
+    success probability of a state is its exact value rounded to float."""
+
+    @lru_cache(maxsize=None)
+    def value(t: int, state: tuple[int, int]) -> float:
+        if t == 0:
+            return 0.0
+        moves = trust_moves(tp, state)
+        p = float(tp.p0 * tp.l ** state[0] * tp.g ** state[1])
+        rec = p * (float(tp.r) + value(t - 1, moves["success"])) + (1 - p) * value(
+            t - 1, moves["fail"]
+        )
+        return max(value(t - 1, moves["skip"]), rec)
+
+    return value
+
+
+def history_tree_oracle(tp: TrustParams, t: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact optimal reward over t steps from full trust, by searching every
+    recommend/skip history with no merging of equal states.
+
+    Tracks the trust probability itself as a Fraction: a failure multiplies
+    it by l, a skip by g up to p0, a success resets it to p0 or keeps it.
+    Returns (optimal value, value of skipping first, value of recommending
+    first).  Exponential in t: only for t <= 8 or so.
+    """
+
+    def best(steps: int, p: Fraction) -> Fraction:
+        if steps == 0:
+            return Fraction(0)
+        return max(skip(steps, p), rec(steps, p))
+
+    def skip(steps: int, p: Fraction) -> Fraction:
+        return best(steps - 1, min(tp.p0, p * tp.g))
+
+    def rec(steps: int, p: Fraction) -> Fraction:
+        after = tp.p0 if tp.reset else p
+        return p * (tp.r + best(steps - 1, after)) + (1 - p) * best(steps - 1, p * tp.l)
+
+    return best(t, tp.p0), skip(t, tp.p0), rec(t, tp.p0)
+
+
+def dense_dp_oracle(tp: TrustParams, n: int) -> tuple[list[float], list]:
+    """The dynamic program over the dense (n+2) x (n+2) grid of exponent
+    pairs (fails, boosts), reachable or not.
+
+    Returns the curve V(t, (0, 0)) for t = 1..n and tables[t][fails, boosts]
+    (recommend iff strictly better than skip).  Cell values are the float
+    product p0 * l^a * g^b, so it is only an oracle where neither power
+    under- or overflows.
+    """
+    size = n + 2
+    p0f, lf, gf = float(tp.p0), float(tp.l), float(tp.g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.power(lf, np.arange(size))[:, None] * np.power(gf, np.arange(size))[None, :]
+    grid = np.nan_to_num(grid, nan=0.0, posinf=np.inf)
+    if lf == 0.0:
+        grid[1:, :] = 0.0
+    value = np.minimum(p0f, p0f * grid)
+    clamp = np.zeros((size, size), dtype=bool)
+    for a in range(size):
+        for b in range(size):
+            clamp[a, b] = tp.l**a * tp.g ** (b + 1) >= 1
+    rf = float(tp.r)
+
+    v = np.zeros((size, size))
+    tables: list = [None]
+    curve = []
+    for _rem in range(1, n + 1):
+        v_shift_b = np.empty_like(v)  # V[a, b+1]
+        v_shift_b[:, :-1] = v[:, 1:]
+        v_shift_b[:, -1] = v[:, -1]
+        v_skip = np.where(clamp, v[0, 0], v_shift_b)
+
+        v_shift_a = np.empty_like(v)  # V[a+1, b]
+        v_shift_a[:-1, :] = v[1:, :]
+        v_shift_a[-1, :] = v[-1, :]
+        v_success = v[0, 0] if tp.reset else v
+        v_rec = value * (rf + v_success) + (1.0 - value) * v_shift_a
+
+        tables.append(v_rec > v_skip)
+        v = np.maximum(v_skip, v_rec)
+        curve.append(float(v[0, 0]))
+    return curve, tables

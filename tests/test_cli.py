@@ -52,6 +52,17 @@ def test_price_shapley_core_golden(name, capsys, monkeypatch):
     assert out == (golden / f"{name}.out").read_text(encoding="utf-8")
 
 
+def test_simulate_optimal_golden(capsys):
+    """Byte-exact stdout of the optimal-policy DP and its Monte-Carlo run:
+    pins both the DP curve and how the draws are consumed."""
+    golden = Path(__file__).parent / "golden" / "simulate_optimal120.out"
+    argv = ["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33", "--n", "120",
+            "--policy", "optimal", "--trials", "2000", "--seed", "5"]
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_price_shapley_rows(linear_spec, capsys):
     code, out = run(["price", "--game", str(linear_spec), "--method", "shapley"], capsys)
     assert code == 0
@@ -164,6 +175,51 @@ def test_price_rejects_top_level_array(tmp_path, capsys):
     bad.write_text("[1, 2, 3]", encoding="utf-8")
     assert main(["price", "--game", str(bad), "--method", "shapley"]) == 2
     assert capsys.readouterr().err == f"error: {bad}: top level must be an object\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"players": ["s", "r1"], "scenario": "linear", "p": 1e100000, "delta": 1, "q": [0.1]}',
+         "p must lie in [0, 1], got ~1e+100000"),
+        ('{"players": ["s", "r1"], "scenario": "linear", "p": 0.5, "delta": -1e5000, "q": [0.1]}',
+         "delta must be >= 0, got ~-1e+5000"),
+        ('{"players": ["s", "r1"], "scenario": "threshold", "k": 1' + "0" * 5000
+         + ', "p": 0.5, "delta": 1, "q": 0.1}', "Exceeds the limit (4300 digits)"),
+    ],
+)
+def test_price_huge_exponents_end_in_one_line(tmp_path, capsys, spec, message):
+    path = tmp_path / "huge.json"
+    path.write_text(spec, encoding="utf-8")
+    assert main(["price", "--game", str(path), "--method", "shapley"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_price_argument_game_over_the_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FAIRPRICE_MAX_PLAYERS", raising=False)
+    args = [f"a{i:02d}" for i in range(17)]
+    path = tmp_path / "args17.json"
+    path.write_text(json.dumps({"arguments": args, "worths": {",".join(args): 1},
+                                "ownership": {"r1": args}}), encoding="utf-8")
+    assert main(["price", "--game", str(path), "--method", "anon-shapley"]) == 3
+    assert capsys.readouterr().err == (
+        "error: 17 arguments exceeds the cap of 16 (override with FAIRPRICE_MAX_PLAYERS)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--p0", "1e100000", "--l", "0.5"], "p0 must lie in (0, 1), got ~1e+100000"),
+        (["--p0", "0.5", "--l", "1e5000"], "l must lie in [0, 1), got ~1e+5000"),
+        (["--p0", "0.5", "--l", "0.5", "--r", "1e400"],
+         "r must be > 0 and within the float range, got ~1e+400"),
+    ],
+)
+def test_simulate_huge_exponents_end_in_one_line(capsys, flags, message):
+    assert main(["simulate", *flags, "--n", "5", "--policy", "all"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_simulate_single_step_optimal(capsys):

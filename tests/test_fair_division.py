@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
-from fairprice import ValidationError
+from fairprice import ResourceCapError, ValidationError
 from fairprice.fair_division import scale_margin, scaled_report_grid
 from fairprice.verification import random_table_game
 from oracles import nash_product_grid_oracle, shapley_permutation_oracle
@@ -298,3 +298,20 @@ def test_scaled_grid_includes_zero_margin():
     assert any(h.worth(h.grand_coalition) == 0 for h in grid)
     half = scale_margin(g, F(1, 2))
     assert half.worth(half.grand_coalition) == g.worth(g.grand_coalition) / 2
+
+
+def _argument_game(count: int):
+    args = [f"a{i:02d}" for i in range(count)]
+    return fp.ArgumentGame.create(args, {tuple(args): 1}, {"r1": args})
+
+
+def test_argument_games_respect_the_player_cap(monkeypatch):
+    monkeypatch.delenv("FAIRPRICE_MAX_PLAYERS", raising=False)
+    big = _argument_game(17)
+    with pytest.raises(ResourceCapError):
+        fp.shapley_arguments(big)
+    with pytest.raises(ResourceCapError):
+        fp.anonymity_proof_shapley(big)
+    monkeypatch.setenv("FAIRPRICE_MAX_PLAYERS", "17")
+    assert len(fp.shapley_arguments(big)) == 17
+    assert fp.anonymity_proof_shapley(big)[1] == {"r1": 1}

@@ -1,16 +1,22 @@
 import math
 import time
 from fractions import Fraction as F
-from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from oracles import (
+    dense_dp_oracle,
+    history_tree_oracle,
+    reachable_states,
+    state_dp_oracle,
+    trust_moves,
+)
 
 import fairprice as fp
-from fairprice import TrustParams, TrustState, ValidationError
+from fairprice import TrustParams, ValidationError
 from fairprice.errors import ResourceCapError
-from fairprice.trust import AllPolicy, EveryK, INITIAL_STATE, expected_curve
+from fairprice.trust import AllPolicy, EveryK, _kernel, expected_curve
 
 
 # ---------------------------------------------------------------------------
@@ -32,30 +38,107 @@ def test_param_validation(kwargs):
         TrustParams(reset=True, **kwargs)
 
 
+def _state(kernel, index):
+    return int(kernel.fails[index]), int(kernel.boosts[index])
+
+
 def test_state_transitions_fig2():
     tp = TrustParams("0.5", "0.66", "1.33", 1, reset=True)
-    s0 = INITIAL_STATE
-    assert s0.after_skip(tp) == s0  # full trust stays clamped
-    s1 = s0.after_failure()
-    assert s1 == TrustState(1, 0)
-    s2 = s1.after_skip(tp)
-    assert s2 == TrustState(1, 1)  # 0.66 * 1.33 < 1: not recovered yet
-    assert s2.after_skip(tp) == s0  # 0.66 * 1.33^2 >= 1: clamp to full trust
-    assert s2.after_success(tp) == s0
-    no_reset = TrustParams("0.5", "0.66", "1.33", 1, reset=False)
-    assert s2.after_success(no_reset) == s2
+    k = _kernel(tp, 10)
+    s0 = 0
+    assert _state(k, s0) == (0, 0)
+    assert k.skip[s0] == s0  # full trust stays clamped
+    s1 = k.fail[s0]
+    assert _state(k, s1) == (1, 0)
+    s2 = k.skip[s1]
+    assert _state(k, s2) == (1, 1)  # 0.66 * 1.33 < 1: not recovered yet
+    assert k.skip[s2] == s0  # 0.66 * 1.33^2 >= 1: clamp to full trust
+    assert k.succ[s2] == s0
+    no_reset = _kernel(TrustParams("0.5", "0.66", "1.33", 1, reset=False), 10)
+    assert no_reset.succ[s2] == s2
 
 
 def test_state_values_stay_in_range():
     tp = TrustParams("0.5", "0.66", "1.33", 1, reset=True)
-    state = INITIAL_STATE
+    k = _kernel(tp, 20)
+    state = 0
     seen = set()
     for move in [0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0]:  # 1 = fail, 0 = skip
-        state = state.after_failure() if move else state.after_skip(tp)
-        seen.add(state)
+        state = k.fail[state] if move else k.skip[state]
+        seen.add(int(state))
     for s in seen:
-        assert 0 < s.value(tp) <= tp.p0
-        assert (s == TrustState(0, 0)) == (s.value(tp) == tp.p0)
+        assert 0 < k.p[s] <= tp.p0
+        assert (_state(k, s) == (0, 0)) == (k.p[s] == tp.p0)
+
+
+trust_params = st.builds(
+    TrustParams,
+    st.fractions(min_value=F(1, 20), max_value=F(19, 20), max_denominator=100),
+    st.fractions(min_value=0, max_value=F(19, 20), max_denominator=100),
+    st.one_of(st.just(F(1)), st.fractions(min_value=1, max_value=3, max_denominator=100)),
+    st.fractions(min_value=F(1, 10), max_value=10, max_denominator=10),
+    reset=st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tp=trust_params, n=st.integers(1, 30))
+def test_kernel_holds_the_reachable_states(tp, n):
+    """The kernel's layers are the states found by search, with values
+    matching the exact trust, and transitions matching the exact moves."""
+    k = _kernel(tp, n)
+    levels = reachable_states(tp, n)
+    for d in range(n + 1):
+        found = levels[d]
+        if k.collapsed:  # g = 1: boosts never change trust
+            found = {(a, 0) for a, _ in found}
+        stored = {_state(k, s) for s in range(k.depth_end[d])}
+        assert stored == found
+    for s in range(len(k.p)):
+        a, b = _state(k, s)
+        assert k.p[s] == pytest.approx(float(tp.p0 * tp.l**a * tp.g**b), rel=1e-13, abs=0)
+        if a + b < n:
+            moves = trust_moves(tp, (a, b))
+            assert _state(k, k.fail[s]) == moves["fail"]
+            assert _state(k, k.succ[s]) == moves["success"]
+            skip = moves["skip"]
+            assert _state(k, k.skip[s]) == ((skip[0], 0) if k.collapsed else skip)
+
+
+@pytest.mark.parametrize(
+    "l, g", [("1e-500", "1e400"), ("1e-300", "1e250"), (0, 2), ("0.01", 100), ("0.999", "1.0001")]
+)
+def test_kernel_values_beyond_the_float_range(l, g):
+    """The trust of every state to float precision, also where l^a or g^b
+    leaves the float range on the way."""
+    tp = TrustParams("0.5", l, g, 1, reset=True)
+    k = _kernel(tp, 40)
+    for s in range(len(k.p)):
+        a, b = _state(k, s)
+        want = float(tp.p0 * tp.l**a * tp.g**b)
+        assert k.p[s] == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+def test_kernel_value_does_not_underflow():
+    """l^200 underflows a float and g^199 is far above 1: the trust at
+    (200, 199) is 0.5 * 0.01^200 * 100^199 = 0.005, reached in 399 steps."""
+    tp = TrustParams("0.5", "0.01", 100, 1, reset=False)
+    k = _kernel(tp, 400)
+    assert k.p[k.index(200, 199, 399)] == pytest.approx(0.005, rel=1e-12)
+
+    class FailThenWait(fp.Policy):
+        """Recommend for 200 steps, skip 199, then recommend at (200, 199)."""
+
+        name = "fail-then-wait"
+
+        def decision_mask(self, step, fails, boosts):
+            return np.full(np.shape(fails), step <= 200) | (step == 400) & (fails == 200)
+
+    curve = expected_curve(tp, FailThenWait(), 400)
+    reached = math.prod(1 - 0.5 * 0.01**a for a in range(200))  # 200 failures in a row
+    increment = curve.value_at(400) - curve.value_at(399)
+    assert increment > 0
+    assert increment == pytest.approx(reached * 0.005, rel=1e-9)
 
 
 def test_recovery_threshold():
@@ -288,36 +371,71 @@ def test_every_k_requires_reset(fig2_no_reset):
 # Dynamic program
 # ---------------------------------------------------------------------------
 
-def reference_dp(tp: TrustParams, n: int):
-    """Independent finite-horizon DP over TrustState objects (dict memo)."""
-
-    @lru_cache(maxsize=None)
-    def value(t: int, state: TrustState) -> float:
-        if t == 0:
-            return 0.0
-        skip_v = value(t - 1, state.after_skip(tp))
-        p = float(state.value(tp))
-        rec_v = p * (float(tp.r) + value(t - 1, state.after_success(tp))) + (1 - p) * value(
-            t - 1, state.after_failure()
-        )
-        return max(skip_v, rec_v)
-
-    return value
-
-
 @pytest.mark.parametrize("g,reset", [("1.33", True), ("1", True), ("1", False), ("1.1", False)])
 def test_dp_matches_reference(g, reset):
     tp = TrustParams("0.5", "0.66", g, 1, reset=reset)
     curve, _ = fp.dp_optimal(tp, 12)
-    ref = reference_dp(tp, 12)
+    ref = state_dp_oracle(tp)
     for t in range(1, 13):
-        assert curve.value_at(t) == pytest.approx(ref(t, INITIAL_STATE), abs=1e-12)
+        assert curve.value_at(t) == pytest.approx(ref(t, (0, 0)), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tp=trust_params, n=st.integers(1, 40))
+def test_dp_matches_dense_grid(tp, n):
+    """Same curve as the DP over the dense exponent grid, and the same
+    decision on every state that can be occupied at each step."""
+    curve, policy = fp.dp_optimal(tp, n)
+    dense_curve, dense_tables = dense_dp_oracle(tp, n)
+    assert curve.values == pytest.approx(dense_curve, rel=1e-12, abs=0)
+    levels = reachable_states(tp, n)
+    for step in range(1, n + 1):
+        fails, boosts = np.array(sorted(levels[step - 1])).T
+        want = dense_tables[n - step + 1][fails, boosts]
+        assert np.array_equal(policy.decision_mask(step, fails, boosts), want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tp=trust_params, n=st.integers(1, 7))
+def test_dp_matches_history_tree(tp, n):
+    """Against exact search over every recommend/skip history, no merging."""
+    curve, policy = fp.dp_optimal(tp, n)
+    for t in range(1, n + 1):
+        best, skip, rec = history_tree_oracle(tp, t)
+        assert curve.value_at(t) == pytest.approx(float(best), rel=1e-12, abs=1e-15)
+        if abs(rec - skip) > 1e-9 * best:  # resolvable in float64
+            assert policy.decide(n - t + 1, 0, 0) == (rec > skip)
+
+
+def test_dp_policy_rejects_unreachable_states(fig2_recovery):
+    _, policy = fp.dp_optimal(fig2_recovery, 10)
+    assert policy.decide(2, 1, 0) in (True, False)
+    for step, fails, boosts in [(1, 1, 0), (5, 0, 1), (5, 1, 2), (5, 3, 2), (5, -1, 0)]:
+        with pytest.raises(ValidationError, match="not reachable"):
+            policy.decide(step, fails, boosts)
+    with pytest.raises(ValidationError, match="outside"):
+        policy.decide(11, 0, 0)
+
+
+def test_policy_from_other_parameters_decides_by_state(fig2_recovery):
+    """A DP policy replayed on another process looks its decisions up by
+    (fails, boosts), not by the other process's state numbering."""
+    _, policy = fp.dp_optimal(TrustParams("0.3", "0.66", "1.5", 1, reset=True), 30)
+
+    class ByState(fp.Policy):
+        name = "optimal"
+
+        def decision_mask(self, step, fails, boosts):
+            return policy.decision_mask(step, fails, boosts)
+
+    direct = expected_curve(fig2_recovery, policy, 30)
+    assert direct == expected_curve(fig2_recovery, ByState(), 30)
 
 
 def test_dp_single_step(fig2_recovery):
     curve, policy = fp.dp_optimal(fig2_recovery, 1)
     assert curve.final == pytest.approx(0.5, abs=1e-15)
-    assert policy.decide(1, INITIAL_STATE)
+    assert policy.decide(1, 0, 0)
 
 
 def test_dp_monotone_in_horizon_and_trust():
@@ -325,9 +443,9 @@ def test_dp_monotone_in_horizon_and_trust():
     curve, _ = fp.dp_optimal(tp, 60)
     assert all(b >= a - 1e-12 for a, b in zip(curve.values, curve.values[1:]))
     # higher current trust never hurts, at any fixed remaining horizon
-    ref = reference_dp(tp, 10)
-    states = [TrustState(0, 0), TrustState(1, 1), TrustState(1, 0), TrustState(2, 0)]
-    values = [s.value(tp) for s in states]
+    ref = state_dp_oracle(tp)
+    states = [(0, 0), (1, 1), (1, 0), (2, 0)]
+    values = [tp.p0 * tp.l**a * tp.g**b for a, b in states]
     for t in range(1, 11):
         for i, si in enumerate(states):
             for j, sj in enumerate(states):
@@ -342,9 +460,9 @@ def test_dp_no_recovery_equals_recommend_all(fig2_reset, fig2_no_reset):
         assert curve.values == pytest.approx(everything.values, abs=1e-9)
         # recommend wherever the choice is resolvable in float64; deep in the
         # converged regime the bounded remaining value ties and ties skip
-        assert policy.decide(120, INITIAL_STATE)
+        assert policy.decide(120, 0, 0)
         _, short = fp.dp_optimal(tp, 20)
-        assert all(short.decide(step, INITIAL_STATE) for step in range(1, 21))
+        assert all(short.decide(step, 0, 0) for step in range(1, 21))
 
 
 def test_dp_policy_replay_consistency(fig2_recovery):
@@ -408,8 +526,8 @@ def test_mc_generic_policy_fallback(fig2_recovery):
     class SkipFirst(fp.Policy):
         name = "skip-first"
 
-        def decide(self, step, state):
-            return step > 1
+        def decision_mask(self, step, fails, boosts):
+            return np.full(np.shape(fails), step > 1)
 
     mc = fp.mc_simulate(fig2_recovery, SkipFirst(), 10, trials=500, seed=5)
     assert mc.values[0] == 0.0
@@ -420,3 +538,13 @@ def test_mc_validation(fig2_recovery):
         fp.mc_simulate(fig2_recovery, AllPolicy(), 0, trials=10, seed=0)
     with pytest.raises(ValidationError):
         fp.mc_simulate(fig2_recovery, AllPolicy(), 5, trials=0, seed=0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(tp=trust_params, n=st.integers(1, 30), which=st.sampled_from(["all", "every-2", "optimal"]),
+       seed=st.integers(0, 2**31))
+def test_mc_within_four_sigma_of_expectation(tp, n, which, seed):
+    policy = {"all": AllPolicy(), "every-2": EveryK(2)}.get(which) or fp.dp_optimal(tp, n)[1]
+    mc = fp.mc_simulate(tp, policy, n, trials=2000, seed=seed)
+    exact = expected_curve(tp, policy, n)
+    assert abs(mc.final - exact.final) <= 4 * mc.stderr[-1] + 1e-12
