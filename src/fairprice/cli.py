@@ -69,7 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--trials", type=int, help="also run a Monte-Carlo estimate")
     p_sim.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed (default 0)")
-    p_sim.add_argument("--tol", type=float, default=1e-12, help="series/product truncation tol")
+    p_sim.add_argument(
+        "--tol",
+        type=float,
+        default=1e-12,
+        help="exact expectation: drop states carrying less probability (default 1e-12)",
+    )
     p_sim.add_argument("--out", help="output path (default: stdout); directory with --split")
     p_sim.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sim.add_argument(
@@ -229,6 +234,7 @@ def cmd_simulate(args) -> int:
     tp = trust.TrustParams(args.p0, args.l, args.g, args.r, reset=args.reset)
     if args.n < 1:
         raise ValidationError("--n must be >= 1")
+    trust.check_tolerance("--tol", args.tol, zero_ok=True)
     policy, dp_curve = _parse_policy(args.policy, tp, args.n)
 
     if dp_curve is not None:

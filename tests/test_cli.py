@@ -311,6 +311,24 @@ def test_simulate_validation_exit_codes(capsys):
                  "--n", "5", "--policy", "sometimes"]) == 2
 
 
+@pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("inf", "inf"), ("-0.5", "-0.5")])
+@pytest.mark.parametrize("policy", ["all", "optimal"])
+def test_simulate_tol_must_be_finite(capsys, tol, shown, policy):
+    # --tol nan|inf used to drop every state and print p0 at each step
+    assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--n", "4",
+                 "--policy", policy, "--tol", tol]) == 2
+    assert capsys.readouterr().err == f"error: --tol must be finite and >= 0, got {shown}\n"
+
+
+def test_simulate_over_the_kernel_state_cap(capsys):
+    # ~118.6M states (~12 GB of kernel arrays) at Figure 2 and n = 20000
+    assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33",
+                 "--n", "20000", "--policy", "all"]) == 3
+    assert capsys.readouterr().err == (
+        "error: horizon 20000 needs more than 4194304 trust states (the cap)\n"
+    )
+
+
 def test_verify_suite_runs(capsys):
     code, out = run(["verify", "--suite", "shapley-axioms"], capsys)
     assert code == 0
@@ -337,3 +355,14 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "s,shapley,0.65" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy.integrate alone cost ~0.65 s a process
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fairprice.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,7 +15,7 @@ from oracles import (
 )
 
 import fairprice as fp
-from fairprice import TrustParams, ValidationError
+from fairprice import TrustParams, ValidationError, trust
 from fairprice.errors import ResourceCapError
 from fairprice.trust import AllPolicy, EveryK, _kernel, expected_curve
 
@@ -236,6 +237,26 @@ def test_series_wrong_regime_rejected(fig2_reset):
         fp.no_reset_total(TrustParams("0.5", "0.5", 1, 1, reset=False), tol=0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+def test_truncation_tolerance_must_be_finite_and_positive(fig2_reset, fig2_no_reset, tol):
+    # NaN never ended these loops: `term < nan` is false forever
+    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+        fp.no_reset_total(fig2_no_reset, tol=tol)
+    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+        fp.zero_success_probability(fig2_reset, tol=tol)
+    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+        fp.with_reset_total(fig2_reset, tol=tol)
+
+
+@pytest.mark.parametrize("prune", [math.nan, math.inf, -1e-12])
+def test_prune_must_be_finite_and_nonnegative(fig2_reset, prune):
+    # a NaN or infinite threshold used to drop every state and read p0 at each step
+    with pytest.raises(ValidationError, match="prune must be finite and >= 0"):
+        expected_curve(fig2_reset, AllPolicy(), 4, prune=prune)
+    kept = expected_curve(fig2_reset, AllPolicy(), 4, prune=0.0)
+    assert kept.value_at(2) == pytest.approx(0.915, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Never-succeed probability and bounds
 # ---------------------------------------------------------------------------
@@ -278,6 +299,20 @@ def test_dilog_monotone_bounded_and_consistent():
             assert v <= prev + 1e-12
         prev = v
         assert abs(v - fp.dilog_series(x)) <= 1e-9
+
+
+def test_dilog_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    xs = [i / 200 for i in range(201)] + [10.0**-k for k in range(1, 16)]
+    xs += [1e-12, 1e-300, 5e-324] + [1 - 2.0**-k for k in range(1, 54)]
+    with mpmath.workdps(40), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in xs:
+            want = float(mpmath.polylog(2, 1 - mpmath.mpf(x)))
+            got = fp.dilog(x)
+            assert got >= 0.0, x
+            assert abs(got - want) <= 1e-12, x
+            assert abs(fp.dilog_series(x) - want) <= 1e-12, x
 
 
 def test_lower_bound_frozen(fig2_reset):
@@ -487,6 +522,21 @@ def test_dp_cap_and_validation(fig2_recovery):
         fp.dp_optimal(fig2_recovery, 0)
     curve, _ = fp.dp_optimal(fig2_recovery, 20, cap=20)
     assert len(curve) == 20
+
+
+def test_kernel_state_cap(fig2_recovery, monkeypatch):
+    # ~0.3 n^2 states at Figure 2: n = 4000 needs ~4.8M, over the 2^22 cap
+    with pytest.raises(ResourceCapError, match="trust states"):
+        expected_curve(fig2_recovery, AllPolicy(), 4000)
+    with pytest.raises(ResourceCapError, match="trust states"):
+        fp.mc_simulate(fig2_recovery, AllPolicy(), 4000, trials=1, seed=0)
+    with pytest.raises(ResourceCapError, match="trust states"):
+        expected_curve(fig2_recovery, AllPolicy(), 10**12)  # refused before any array
+    monkeypatch.setattr(trust, "KERNEL_STATE_CAP", len(_kernel(fig2_recovery, 30).p))
+    _kernel.cache_clear()  # rebuild under the lowered cap
+    assert len(expected_curve(fig2_recovery, AllPolicy(), 30)) == 30
+    with pytest.raises(ResourceCapError):
+        expected_curve(fig2_recovery, AllPolicy(), 31)
 
 
 # ---------------------------------------------------------------------------
