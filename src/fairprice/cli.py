@@ -114,16 +114,15 @@ def _core_check_vector(args, game: Game) -> dict[str, Fraction]:
         x[game.seller] = game.worth(game.grand_coalition)
         return x
     text = args.vector
-    candidate = Path(args.vector)
-    if candidate.exists():
-        text = candidate.read_text(encoding="utf-8")
+    if Path(args.vector).exists():
+        text = _read_text(args.vector)
     return specio.load_payoff_vector(text, "--vector")
 
 
 def cmd_price(args) -> int:
     from . import corelp
 
-    text = Path(args.game).read_text(encoding="utf-8")
+    text = _read_text(args.game)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise ValidationError("no methods given")
@@ -300,7 +299,18 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
 def _emit(payload: str, out) -> None:
+    try:
+        payload.encode("utf-8")
+    except UnicodeEncodeError as exc:  # ids with lone surrogates, from JSON escapes
+        raise ValidationError(f"output is not UTF-8 text: {exc.reason}")
     if out:
         Path(out).write_text(payload, encoding="utf-8")
     else:

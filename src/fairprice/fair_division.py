@@ -23,9 +23,7 @@ from .games import (
     Coalition,
     Game,
     PayoffVector,
-    build_general,
-    build_linear,
-    build_threshold,
+    ScenarioMeta,
     max_players,
     popcounts,
     scatter_table,
@@ -304,31 +302,28 @@ class DeviationReport:
 
 def scaled_report_grid(game: Game, factors: Iterable[Rational] = (0, "1/2", 2)) -> list[Game]:
     """Misreport grid scaling the true margin by each factor (0 included)."""
-    out = []
-    for f in factors:
-        out.append(scale_margin(game, as_fraction(f, "factor")))
-    return out
+    return [scale_margin(game, f) for f in factors]
 
 
-def scale_margin(game: Game, factor: Fraction) -> Game:
-    """The same scenario game with its margin scaled by a nonnegative factor."""
+def scale_margin(game: Game, factor: Rational) -> Game:
+    """The same scenario game with its margin scaled by a nonnegative factor.
+
+    Every scenario worth (p + f(S)) * delta is linear in delta, so the
+    scaled game's table is the game's table times the factor.
+    """
     if game.scenario is None:
         raise ValidationError("margin scaling requires a scenario-built game")
+    factor = as_fraction(factor, "factor")
     if factor < 0:
         raise ValidationError("margin factor must be nonnegative")
     meta = game.scenario
-    delta = meta.delta * factor
-    recs = game.recommenders
-    if meta.kind == "linear":
-        return build_linear(meta.p, delta, meta.params["q"], seller=game.seller)
-    if meta.kind == "threshold":
-        return build_threshold(
-            meta.p, delta, len(recs), meta.params["k"], meta.params["q"],
-            seller=game.seller, recommenders=recs,
-        )
-    return build_general(
-        meta.p, delta, meta.params["f"], seller=game.seller, recommenders=recs
-    )
+
+    def fill_table(ids: tuple[str, ...]) -> tuple[int, list[int]]:
+        t = game.table()
+        return t.den * factor.denominator, [x * factor.numerator for x in t.nums]
+
+    scaled = ScenarioMeta(meta.p, meta.delta * factor, meta.sale_probability)
+    return Game(game.players, fill_table, scaled)
 
 
 def truthfulness_probe(

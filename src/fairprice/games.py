@@ -14,17 +14,17 @@ Three scenario constructors are provided:
 Games may also be built from an explicit worth table (used by tests and
 property checks).  All arithmetic is exact; floats never enter here.
 
-`Game.worth` evaluates the scenario formula for one coalition.  The pricing
-code reads `Game.table()` instead: the worth of every coalition as integer
-numerators over one common denominator, indexed by bitmask, which each
-builder fills without evaluating the formula coalition by coalition.
+A game stores its worths in one place, `Game.table()`: the worth of every
+coalition as integer numerators over one common denominator, indexed by
+bitmask.  Each builder's `fill_table` is the only code that knows its
+scenario formula; `Game.worth` and all pricing code read the table.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -110,27 +110,27 @@ def popcounts(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ScenarioMeta:
-    """Parameters a game was built from (None for raw table games)."""
+    """What pricing needs of a scenario game (None for raw table games):
+    the base probability p, the margin delta, and the grand coalition's
+    selling probability p + f(N)."""
 
-    kind: str  # "linear" | "threshold" | "general"
     p: Fraction
     delta: Fraction
-    params: dict = field(compare=False)
+    sale_probability: Fraction
 
 
 class Game:
     """Immutable coalitional game ⟨players, worth⟩.
 
-    `worth` is total over coalitions, nonnegative, zero on the empty set
-    and on every coalition that excludes the seller.  `fill_table` maps the
-    sorted player ids to (den, nums) of the same worth function; it runs
-    once, on the first call to `table`.
+    `fill_table` maps the sorted player ids to (den, nums), the worth of
+    every coalition by bitmask; it runs once, on the first call to `table`.
+    The worth is nonnegative, zero on the empty set and on every coalition
+    that excludes the seller.
     """
 
     def __init__(
         self,
         players: tuple[Player, ...],
-        worth_fn: Callable[[Coalition], Fraction],
         fill_table: Callable[[tuple[str, ...]], tuple[int, list[int]]],
         scenario: ScenarioMeta | None,
     ):
@@ -149,8 +149,8 @@ class Game:
         self._players = players
         self._ids = frozenset(ids)
         self._sorted_ids = tuple(sorted(ids))
+        self._bits = {pid: 1 << j for j, pid in enumerate(self._sorted_ids)}
         self._seller = sellers[0].id
-        self._worth_fn = worth_fn
         self._fill_table = fill_table
         self._table: WorthTable | None = None
         self._scenario = scenario
@@ -185,9 +185,8 @@ class Game:
         unknown = s - self._ids
         if unknown:
             raise ValidationError(f"unknown player id(s) in coalition: {sorted(unknown)}")
-        if self._seller not in s:
-            return Fraction(0)
-        return self._worth_fn(s)
+        t = self.table()
+        return Fraction(t.nums[sum(self._bits[pid] for pid in s)], t.den)
 
     def table(self) -> WorthTable:
         """The worth of every coalition, built on first use and then cached."""
@@ -206,19 +205,7 @@ class Game:
         """p + f(N), the grand-coalition selling probability (scenario games)."""
         if self.scenario is None:
             raise ValidationError("sale probability is only defined for scenario-built games")
-        return self.scenario.p + self._uplift(self._ids)
-
-    def _uplift(self, s: Coalition) -> Fraction:
-        meta = self.scenario
-        recs = frozenset(r for r in s if r != self._seller)
-        if meta.kind == "linear":
-            qs = meta.params["q"]
-            return sum((qs[r] for r in recs), Fraction(0))
-        if meta.kind == "threshold":
-            return meta.params["q"] if len(recs) >= meta.params["k"] else Fraction(0)
-        if meta.kind == "general":
-            return meta.params["f"].get(s, Fraction(0))
-        raise AssertionError(meta.kind)
+        return self.scenario.sale_probability
 
 
 def _mk_players(seller: str, recommenders: Iterable[str]) -> tuple[Player, ...]:
@@ -259,11 +246,7 @@ def build_linear(
         raise ValidationError("p + sum(q_i) exceeds 1 (probability overflow)")
 
     players = _mk_players(seller, rec_ids)
-    meta = ScenarioMeta("linear", p, delta, {"q": q_map})
-
-    def worth_fn(s: Coalition) -> Fraction:
-        extra = sum((q_map[r] for r in s if r != seller), Fraction(0))
-        return (p + extra) * delta
+    meta = ScenarioMeta(p, delta, p + sum(q_map.values(), Fraction(0)))
 
     def fill_table(ids: tuple[str, ...]) -> tuple[int, list[int]]:
         # the seller's bit carries p*delta, each recommender's bit q_i*delta
@@ -273,7 +256,7 @@ def build_linear(
         sums = subset_sums(_numerator(t, den) for t in terms)
         return den, [x if m & sbit else 0 for m, x in enumerate(sums)]
 
-    return Game(players, worth_fn, fill_table, meta)
+    return Game(players, fill_table, meta)
 
 
 def build_threshold(
@@ -302,11 +285,7 @@ def build_threshold(
         raise ValidationError("number of recommender ids must equal n")
 
     players = _mk_players(seller, rec_ids)
-    meta = ScenarioMeta("threshold", p, delta, {"k": k, "q": q})
-
-    def worth_fn(s: Coalition) -> Fraction:
-        n_rec = sum(1 for r in s if r != seller)
-        return (p + q) * delta if n_rec >= k else p * delta
+    meta = ScenarioMeta(p, delta, p + q)  # the grand coalition holds n >= k recommenders
 
     def fill_table(ids: tuple[str, ...]) -> tuple[int, list[int]]:
         low, high = p * delta, (p + q) * delta
@@ -319,7 +298,7 @@ def build_threshold(
             for m, c in enumerate(popcounts(len(ids)))
         ]
 
-    return Game(players, worth_fn, fill_table, meta)
+    return Game(players, fill_table, meta)
 
 
 def build_general(
@@ -358,16 +337,13 @@ def build_general(
         table[s] = v
 
     players = _mk_players(seller, rec_ids)
-    meta = ScenarioMeta("general", p, delta, {"f": table})
-
-    def worth_fn(s: Coalition) -> Fraction:
-        return (p + table.get(s, Fraction(0))) * delta
+    meta = ScenarioMeta(p, delta, p + table.get(valid, Fraction(0)))  # valid is N
 
     def fill_table(ids: tuple[str, ...]) -> tuple[int, list[int]]:
         worths = {s: (p + v) * delta for s, v in table.items()}
         return scatter_table(ids, worths, p * delta, seller)
 
-    return Game(players, worth_fn, fill_table, meta)
+    return Game(players, fill_table, meta)
 
 
 def from_table(
@@ -405,12 +381,7 @@ def from_table(
             raise ValidationError(f"coalition {sorted(s)} lacks the seller, worth must be 0")
         table[s] = v
 
-    return Game(
-        ps,
-        lambda s: table.get(s, Fraction(0)),
-        lambda ids: scatter_table(ids, table),
-        None,
-    )
+    return Game(ps, lambda ids: scatter_table(ids, table), None)
 
 
 def add_games(a: Game, b: Game) -> Game:
@@ -424,7 +395,7 @@ def add_games(a: Game, b: Game) -> Game:
         fa, fb = den // ta.den, den // tb.den
         return den, [x * fa + y * fb for x, y in zip(ta.nums, tb.nums)]
 
-    return Game(a.players, lambda s: a.worth(s) + b.worth(s), fill_table, None)
+    return Game(a.players, fill_table, None)
 
 
 def is_feasible(game: Game, payoff: Mapping[str, Fraction]) -> bool:

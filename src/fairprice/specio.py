@@ -38,6 +38,8 @@ def _loads(text: str, where: str) -> Any:
         raise ValidationError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except ValueError as exc:  # an integer literal past int()'s digit limit
         raise ValidationError(f"{where}: invalid JSON: {exc}")
+    except RecursionError:
+        raise ValidationError(f"{where}: invalid JSON: nested too deeply")
 
 
 def _document(src: str | dict, where: str) -> dict:
@@ -110,8 +112,8 @@ def load_argument_game(src: str | dict, where: str = "argument spec") -> Argumen
     worths = {frozenset(x for x in key.split(",") if x): val for key, val in worths_raw.items()}
     ownership = {}
     for rec, lst in ownership_raw.items():
-        if not isinstance(lst, list):
-            raise ValidationError(f"{where}: ownership of {rec!r} must be an array")
+        if not isinstance(lst, list) or not all(isinstance(a, str) for a in lst):
+            raise ValidationError(f"{where}: ownership of {rec!r} must be an array of strings")
         ownership[rec] = lst
     return ArgumentGame.create(arguments, worths, ownership)
 

@@ -3,21 +3,56 @@
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, combinations, permutations
+from typing import Callable, Iterable
 
 import numpy as np
 
+from fairprice.corelp import FarkasCertificate, LinearSystem
 from fairprice.fair_division import BargainingProblem
 from fairprice.games import Game, PayoffVector
 from fairprice.trust import TrustParams
 
 
-def shapley_permutation_oracle(game: Game) -> PayoffVector:
+Worth = Callable[[Iterable[str]], Fraction]
+
+
+def scenario_worth(kind: str, p, delta, seller: str, **params) -> Worth:
+    """The scenario formula v(S) = (p + f(S)) * delta, evaluated coalition by
+    coalition from a builder's arguments; 0 on coalitions without the seller.
+
+    `kind` is "linear" (params `q`: recommender -> q_i, f(S) = sum of q_i),
+    "threshold" (params `k`, `q`: f(S) = q once S holds k recommenders) or
+    "general" (params `f`: coalition -> uplift, 0 when missing).  It never
+    reads a `Game`, so it checks the worth tables the builders fill.
+    """
+    p, delta = Fraction(p), Fraction(delta)
+
+    def uplift(s: frozenset) -> Fraction:
+        recs = s - {seller}
+        if kind == "linear":
+            return sum((Fraction(params["q"][r]) for r in recs), Fraction(0))
+        if kind == "threshold":
+            return Fraction(params["q"]) if len(recs) >= params["k"] else Fraction(0)
+        if kind == "general":
+            return Fraction(params["f"].get(s, 0))
+        raise ValueError(kind)
+
+    def worth(coalition: Iterable[str]) -> Fraction:
+        s = frozenset(coalition)
+        return (p + uplift(s)) * delta if seller in s else Fraction(0)
+
+    return worth
+
+
+def shapley_permutation_oracle(game: Game, worth: Worth | None = None) -> PayoffVector:
     """Brute-force oracle: average marginal contributions over all n! orderings.
 
-    Independent of `shapley` and of the worth table: it calls `Game.worth`,
-    which evaluates the scenario formula.  Only usable for small player counts.
+    Independent of `shapley`.  It reads `worth`, by default `Game.worth`,
+    which reads the game's worth table; pass `scenario_worth` to be
+    independent of the table as well.  Only usable for small player counts.
     """
+    worth = game.worth if worth is None else worth
     ids = sorted(game.player_ids)
     n_fact = math.factorial(len(ids))
     totals = {i: Fraction(0) for i in ids}
@@ -26,10 +61,34 @@ def shapley_permutation_oracle(game: Game) -> PayoffVector:
         prev = Fraction(0)
         for pid in order:
             seen = seen | {pid}
-            cur = game.worth(seen)
+            cur = worth(seen)
             totals[pid] += cur - prev
             prev = cur
     return {i: t / n_fact for i, t in totals.items()}
+
+
+def seller_veto_core_oracle(
+    ids: Iterable[str], worth: Worth, system: LinearSystem
+) -> FarkasCertificate | None:
+    """None when the Core is nonempty, else a 0/1 Farkas certificate over
+    `system`, the game's Core system (one equality, then one inequality per
+    proper nonempty coalition).
+
+    Every game here is a seller-veto game: worth 0 without the seller and
+    >= 0 with it.  Its Core is nonempty iff v(N) is the largest worth (the
+    seller takes v(N)).  Otherwise, with S the lexicographically first
+    coalition of largest worth, -1 on x(N) = v(N), 1 on x(S) >= v(S) and 1 on
+    x_i >= v({i}) for each i outside S derive 0 >= v(S) - v(N) + (sum of
+    v({i})) > 0.
+    """
+    ids = sorted(ids)
+    lex = sorted(chain.from_iterable(combinations(ids, r) for r in range(len(ids) + 1)))
+    best = frozenset(max(lex, key=worth))  # max keeps the first of equal worths
+    if worth(best) == worth(ids):
+        return None
+    rows = [frozenset(con.coeffs) for con in system.inequalities]
+    ineq = tuple(Fraction(int(r == best or (len(r) == 1 and not r <= best))) for r in rows)
+    return FarkasCertificate((Fraction(-1),), ineq)
 
 
 def nash_product_grid_oracle(bp: BargainingProblem, steps: int = 60) -> PayoffVector:

@@ -196,6 +196,30 @@ def test_price_huge_exponents_end_in_one_line(tmp_path, capsys, spec, message):
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"arguments": ["a"], "worths": {"a": 1}, "ownership": {"r1": [["a"]]}}',
+         "ownership of 'r1' must be an array of strings"),
+        (b"\xff\xfe{}", "not UTF-8 text: invalid start byte at byte 0"),
+        (b"[" * 100_000, "invalid JSON: nested too deeply"),
+    ],
+)
+def test_price_unreadable_spec_ends_in_one_line(tmp_path, capsys, content, message):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    assert main(["price", "--game", str(path), "--method", "anon-shapley"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_price_unreadable_vector_ends_in_one_line(linear_spec, tmp_path, capsys):
+    vector = tmp_path / "x.json"
+    vector.write_bytes(b"[" * 100_000)
+    argv = ["price", "--game", str(linear_spec), "--method", "core-check", "--vector", str(vector)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --vector: invalid JSON: nested too deeply\n"
+
+
 def test_price_argument_game_over_the_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("FAIRPRICE_MAX_PLAYERS", raising=False)
     args = [f"a{i:02d}" for i in range(17)]

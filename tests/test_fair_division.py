@@ -238,6 +238,22 @@ def test_prices_equal_when_probability_one():
     assert per_rec.prices == per_sale.prices
 
 
+@pytest.mark.parametrize(
+    "game, prob",
+    [
+        (fp.build_linear("0.5", 0, ["0.2", "0.1"]), F(4, 5)),
+        (fp.build_threshold("0.5", 0, 2, 2, "0.3"), F(4, 5)),
+        (fp.build_general("0.5", 0, {("s", "r1", "r2"): "0.3"}, recommenders=["r1", "r2"]), F(4, 5)),
+        (fp.build_general("0.5", 0, {("s", "r1"): "0.3"}, recommenders=["r1", "r2"]), F(1, 2)),
+    ],
+)
+def test_prices_per_sale_defined_at_zero_margin(game, prob):
+    assert game.worth(game.grand_coalition) == 0
+    assert game.sale_probability() == prob
+    schedule = fp.to_prices({"s": F(0), "r1": F(1), "r2": F(2)}, game, fp.PAY_PER_SALE)
+    assert schedule.prices == {"r1": 1 / prob, "r2": 2 / prob}
+
+
 def test_prices_zero_probability_rejected():
     g = fp.build_linear(0, 1, [0])
     with pytest.raises(ValidationError):
@@ -298,6 +314,35 @@ def test_scaled_grid_includes_zero_margin():
     assert any(h.worth(h.grand_coalition) == 0 for h in grid)
     half = scale_margin(g, F(1, 2))
     assert half.worth(half.grand_coalition) == g.worth(g.grand_coalition) / 2
+
+
+MARGIN_BUILDERS = {
+    "linear": lambda d: fp.build_linear(
+        "0.2", d, {"r1": "0.1", "r2": "0.25", "r3": "0.05"}, seller="z"
+    ),
+    "threshold": lambda d: fp.build_threshold(
+        "0.2", d, 3, 2, "0.5", seller="z", recommenders=["r1", "r2", "r3"]
+    ),
+    "general": lambda d: fp.build_general(
+        "0.2", d, {("z", "r1"): "0.1", ("z", "r2", "r3"): "0.6", ("z", "r1", "r2", "r3"): "0.7"},
+        seller="z", recommenders=["r1", "r2", "r3"],
+    ),
+}
+
+
+@pytest.mark.parametrize("factor", [F(0), F(1, 2), F(2)])
+@pytest.mark.parametrize("kind", sorted(MARGIN_BUILDERS))
+def test_scale_margin_equals_the_rebuilt_game(kind, factor):
+    delta = F(15, 4)
+    build = MARGIN_BUILDERS[kind]
+    scaled = scale_margin(build(delta), factor)
+    rebuilt = build(delta * factor)
+    assert scaled.players == rebuilt.players
+    assert scaled.scenario == rebuilt.scenario
+    assert scaled.scenario.delta == delta * factor
+    for s in rebuilt.coalitions():
+        assert scaled.worth(s) == rebuilt.worth(s)
+    assert fp.shapley(scaled) == fp.shapley(rebuilt)
 
 
 def _argument_game(count: int):
