@@ -7,6 +7,7 @@ claims, 2 input/validation errors, 3 resource caps.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ from . import fair_division as fd
 from . import specio, trust, verification
 from .errors import FairpriceError, ResourceCapError, ValidationError
 from .games import Game
-from .rational import decimal_str
+from .rational import decimal_str, frac_str
 
 EXIT_OK = 0
 EXIT_CLAIMS_FAILED = 1
@@ -92,10 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _payoff_rows(method: str, payoff: dict) -> list[dict]:
-    rows = []
-    for pid in sorted(payoff):
-        rows.append({"id": pid, "method": method, **specio.render_value(payoff[pid])})
-    return rows
+    return [{"id": pid, "method": method, **specio.render_value(x)}
+            for pid, x in sorted(payoff.items())]
 
 
 def _price_rows(method: str, payment: str, payoff: dict, game: Game) -> list[dict]:
@@ -113,10 +112,9 @@ def _core_check_vector(args, game: Game) -> dict[str, Fraction]:
         x = {pid: Fraction(0) for pid in game.player_ids}
         x[game.seller] = game.worth(game.grand_coalition)
         return x
-    text = args.vector
-    if Path(args.vector).exists():
-        text = _read_text(args.vector)
-    return specio.load_payoff_vector(text, "--vector")
+    if not os.path.exists(args.vector):  # inline JSON; Path.exists raises on overlong names
+        return specio.load_payoff_vector(args.vector, "--vector")
+    return specio.load_payoff_vector(_read_text(args.vector), "--vector")
 
 
 def cmd_price(args) -> int:
@@ -171,7 +169,7 @@ def cmd_price(args) -> int:
                         if result.violating_coalition is None
                         else sorted(result.violating_coalition)
                     ),
-                    "vector": {k: str(v) for k, v in sorted(x.items())},
+                    "vector": {k: frac_str(v) for k, v in sorted(x.items())},
                 }
             elif method == "core-nonempty":
                 result = corelp.core_is_nonempty(game)
@@ -180,17 +178,17 @@ def cmd_price(args) -> int:
                     "core_point": (
                         None
                         if result.core_point is None
-                        else {k: str(v) for k, v in sorted(result.core_point.items())}
+                        else {k: frac_str(v) for k, v in sorted(result.core_point.items())}
                     ),
                     "certificate": (
                         None
                         if result.certificate is None
                         else {
                             "equality_multipliers": [
-                                str(m) for m in result.certificate.eq_multipliers
+                                frac_str(m) for m in result.certificate.eq_multipliers
                             ],
                             "inequality_multipliers": [
-                                str(m) for m in result.certificate.ineq_multipliers
+                                frac_str(m) for m in result.certificate.ineq_multipliers
                             ],
                         }
                     ),
@@ -233,6 +231,8 @@ def cmd_simulate(args) -> int:
     tp = trust.TrustParams(args.p0, args.l, args.g, args.r, reset=args.reset)
     if args.n < 1:
         raise ValidationError("--n must be >= 1")
+    if args.trials is not None and args.trials < 1:
+        raise ValidationError("--trials must be >= 1")
     trust.check_tolerance("--tol", args.tol, zero_ok=True)
     policy, dp_curve = _parse_policy(args.policy, tp, args.n)
 
@@ -244,7 +244,7 @@ def cmd_simulate(args) -> int:
         curve = trust.expected_curve(tp, policy, args.n, prune=args.tol)
 
     curves = [curve]
-    if args.trials:
+    if args.trials is not None:
         curves.append(trust.mc_simulate(tp, policy, args.n, args.trials, args.seed))
 
     if args.split:

@@ -13,7 +13,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 
 Rational = Fraction | int | str | float | Decimal
 
@@ -59,7 +59,10 @@ def brief_str(x: Fraction) -> str:
 
 def frac_str(x: Fraction) -> str:
     """Exact rendering, e.g. Fraction(3, 5) -> "3/5", Fraction(2) -> "2"."""
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # more than the 4300 digits Python converts to text
+        raise ResourceCapError(f"result {brief_str(x)} has too many digits to print")
 
 
 def decimal_str(x: Fraction | float, sig: int = 12) -> str:

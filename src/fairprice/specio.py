@@ -18,13 +18,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .fair_division import ArgumentGame
 from .games import Game, build_general, build_linear, build_threshold
-from .rational import as_fraction, decimal_str, frac_str
+from .rational import as_fraction, brief_str, decimal_str, frac_str
 from .trust import RewardCurve
 
 CSV_HEADER = ["step", "policy", "expected_cumulative_reward", "stderr"]
@@ -133,11 +134,11 @@ def coalition_key(ids: Iterable[str]) -> str:
 # Result rendering
 # ---------------------------------------------------------------------------
 
-def render_value(x) -> dict:
-    """Exact string plus decimal rendering of one rational/float value."""
-    if isinstance(x, Fraction):
-        return {"value": frac_str(x), "value_decimal": float(x)}
-    return {"value": decimal_str(x), "value_decimal": float(x)}
+def render_value(x: Fraction) -> dict:
+    """Exact string plus decimal rendering of one rational value."""
+    if abs(x) > sys.float_info.max:
+        raise ResourceCapError(f"result {brief_str(x)} lies beyond the float range")
+    return {"value": frac_str(x), "value_decimal": float(x)}
 
 
 def results_to_json(doc: dict) -> str:

@@ -8,9 +8,9 @@ per step, whether to recommend.
 
 States are exponent pairs (fails, boosts): the current probability is
 p0 * l^fails * g^boosts, normalized so the clamp has been applied at every
-step.  Clamp comparisons (l^a * g^(b+1) >= 1) are done on exact big
-integers; expected values and bounds are float64 except where closed forms
-are exact by construction.
+step.  `_frontier` alone decides the clamp (l^a * g^(b+1) >= 1), from a
+certified log-ratio estimate with exact checks near ties; expected values
+and bounds are float64 except where closed forms are exact by construction.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ DEFAULT_DP_CAP = 500
 # the kernel keeps about a dozen per-state arrays, ~100 bytes a state: 2^22
 # states is ~0.4 GB (Figure 2 reaches it near n = 3,750; states grow like 0.3 n^2)
 KERNEL_STATE_CAP = 2**22
+_EXACT_BITS = 2**22  # the largest power, in bits, an exact clamp check builds (~0.5 s)
 
 
 @dataclass(frozen=True)
@@ -60,51 +61,29 @@ class TrustParams:
 
 
 def recovery_threshold(l: Rational, g: Rational, *, cap: int = 10**6) -> int | None:
-    """Smallest number of recovery steps that outweighs one failure's loss,
-    i.e. the least integer m with l * g^m >= 1.  None when g <= 1 (or l = 0),
-    where no finite number of steps suffices.
-
-    m = ceil(ln(1/l) / ln g).  A float estimate of that ratio, widened by its
-    error bound, decides m unless an integer lies within the bound (as when
-    l * g^m = 1 exactly); only then are the candidates checked in exact
-    integer arithmetic.
-    """
-    l = as_fraction(l, "l")
-    g = as_fraction(g, "g")
+    """Smallest number of recovery steps that outweighs one failure's loss:
+    the least integer m with l * g^m >= 1, column 1 of `_frontier` plus 1.
+    None when g <= 1 (or l = 0), where no finite number of steps suffices;
+    ResourceCapError when m exceeds `cap` or cannot be decided exactly."""
+    l, g = as_fraction(l, "l"), as_fraction(g, "g")
     if not (0 <= l < 1):
         raise ValidationError(f"l must lie in [0, 1), got {brief_str(l)}")
     if g <= 1 or l == 0:
         return None
-    # ln(1/l) >= 1 - l and ln g <= g - 1, so m >= (1 - l) / (g - 1)
-    if (1 - l) / (g - 1) <= cap:
-        loss_r, loss_c = _ln_split(1 / l)
-        gain_r, gain_c = _ln_split(g)
-        ratio = float(loss_r / gain_r) * loss_c / gain_c
-        bits = max(x.bit_length() for x in (l.numerator, l.denominator, g.numerator, g.denominator))
-        eps = 2.0**-48 * (8 + bits)  # >= 4x the rounding error of the estimate
-        lo = max(1, math.ceil(ratio * (1 - eps)))
-        hi = max(1, math.ceil(ratio * (1 + eps)))
-
-        def reaches(m: int) -> bool:  # l * g^m >= 1, in integers
-            return l.numerator * g.numerator**m >= l.denominator * g.denominator**m
-
-        m = lo if lo > cap else next((m for m in range(lo, hi) if reaches(m)), hi)
-        if m <= cap:
-            return m
+    m = int(_frontier(l, g, 2, cap)[1]) + 1
+    if m <= cap:
+        return m
     raise ResourceCapError(f"recovery threshold exceeds {cap} steps")
 
 
 def _ln_split(y: Fraction) -> tuple[Fraction, float]:
-    """ln y for y > 1 as an exact rational factor times a float factor.
-
-    Near 1 the rational factor is y - 1 itself, so tiny logarithms keep
-    their digits and never underflow; the float factor is then ln(y)/(y-1).
-    """
+    """ln y, y > 1, as an exact rational times a float: near 1 the rational
+    is y - 1, so tiny logarithms keep their digits and never underflow."""
     d = y - 1
     if d < 1:
         fd = float(d)
         return d, math.log1p(fd) / fd if fd else 1.0
-    return Fraction(1), math.log(y.numerator) - math.log(y.denominator)
+    return Fraction(1), _ln(y)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +395,7 @@ def _kernel(tp: TrustParams, n: int) -> _Kernel:
     if n >= KERNEL_STATE_CAP:  # every depth holds at least one state
         raise _over_state_cap(n)
     depths = np.arange(n + 2)
-    frontier = _clamp_columns(tp, n + 2, n)
+    frontier = _frontier(tp.l, tp.g, n + 2, n)
     collapsed = tp.g == 1
     layout = np.zeros_like(frontier) if collapsed else frontier
     # depth d holds fails a = d, d-1, ... down to the least a with
@@ -456,23 +435,40 @@ def _over_state_cap(n: int) -> ResourceCapError:
     return ResourceCapError(f"horizon {n} needs more than {KERNEL_STATE_CAP} trust states (the cap)")
 
 
-def _clamp_columns(tp: TrustParams, rows: int, cap: int) -> np.ndarray:
+def _frontier(l: Fraction, g: Fraction, rows: int, cap: int) -> np.ndarray:
     """col[a], a < rows: the least b with l^a * g^(b+1) >= 1 (a skip returns
-    to full trust), capped at `cap`.  Exact big-integer comparisons; col is
-    nondecreasing in a, so one pointer moves across all rows."""
-    ln, ld = tp.l.numerator, tp.l.denominator
-    gn, gd = tp.g.numerator, tp.g.denominator
-    col = np.empty(rows, dtype=np.int64)
-    lhs, rhs = gn, gd  # l^a * g^(b+1) as numerator and denominator
-    b = 0
-    for a in range(rows):
-        while b < cap and lhs < rhs:
-            b += 1
-            lhs *= gn
-            rhs *= gd
-        col[a] = b
-        lhs *= ln
-        rhs *= ld
+    to full trust), capped at `cap`.  b + 1 = ceil(a * ln(1/l) / ln g).
+
+    A float estimate of that ratio, widened by its error bound, decides each
+    row unless an integer m lies within the bound (as at a tie l^a * g^m = 1);
+    then l^(a/d) * g^(m/d) >= 1, d = gcd(a, m), is checked in integers, so a
+    tie costs one small power.  ResourceCapError where the bound spans two
+    integers, a check exceeds _EXACT_BITS bits, or capped rows may pass 2^52."""
+    top = min(cap, 2**52)  # float64 holds every integer up to top + 1
+    col = np.r_[min(top, 0), np.full(rows - 1, top, dtype=np.int64)]
+    # ln(1/l) >= 1 - l and ln g <= g - 1: the ratio is at least (1 - l) / (g - 1)
+    if l and g > 1 and (1 - l) / (g - 1) <= top:
+        (loss_r, loss_c), (gain_r, gain_c) = _ln_split(1 / l), _ln_split(g)
+        ratio = float(loss_r / gain_r) * loss_c / gain_c
+        lbits, gbits = (max(x.numerator.bit_length(), x.denominator.bit_length()) for x in (l, g))
+        eps = 2.0**-48 * (8 + max(lbits, gbits))  # >= 4x the rounding error of the estimate
+        x = np.arange(rows) * ratio
+        lo, hi = (np.clip(np.ceil(x * f), 1, top + 1).astype(np.int64) for f in (1 - eps, 1 + eps))
+        near = np.flatnonzero(lo < hi)
+        d = np.gcd(near, lo[near])
+        pairs, which = np.unique(np.stack([near // d, lo[near] // d]), axis=1, return_inverse=True)
+        which = which.ravel()  # numpy 2.0.0 returns it 2-D
+        cost = (pairs[0] * float(lbits) + pairs[1] * float(gbits))[which]
+        cost[hi[near] - lo[near] > 1] = math.inf
+        if (cost > _EXACT_BITS).any():
+            a = near[np.argmax(cost > _EXACT_BITS)]
+            raise ResourceCapError(
+                f"recovery after {a} failures needs ~{x[a]:.6g} skips: too many to decide")
+        reaches = np.array([l.numerator**a * g.numerator**m >= l.denominator**a * g.denominator**m
+                            for a, m in pairs.T.tolist()], dtype=bool)
+        col = hi - 1 - np.bincount(near, reaches[which], rows).astype(np.int64)  # m = lo: one less
+    if top < cap and (col[1:] == top).any():
+        raise ResourceCapError(f"recovery may need over {top} skips: too many to decide")
     return col
 
 
@@ -532,8 +528,7 @@ def every_k_reward(tp: TrustParams, k: int, n: int) -> RewardCurve:
     if not tp.reset:
         raise ValidationError("the every-k curve is defined for the reset process")
     # k > n never recommends within the horizon; both branches are all-zero
-    spaced = k > n or tp.l * tp.g ** (k - 1) >= 1
-    if spaced:
+    if k > n or _frontier(tp.l, tp.g, 2, k - 1)[1] <= k - 2:
         per = tp.p0 * tp.r
         return RewardCurve(f"every-{k}", tuple(Fraction(t // k) * per for t in range(1, n + 1)))
     return expected_curve(tp, EveryK(k), n)

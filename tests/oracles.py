@@ -129,6 +129,27 @@ def nash_product_grid_oracle(bp: BargainingProblem, steps: int = 60) -> PayoffVe
 # Trust decay
 # ---------------------------------------------------------------------------
 
+def clamp_columns(l: Fraction, g: Fraction, rows: int, cap: int) -> list[int]:
+    """col[a], a < rows: the least b with l^a * g^(b+1) >= 1, capped at `cap`,
+    by exact big-integer products.  col is nondecreasing in a, so one pointer
+    moves across all rows; the products grow with a, which makes this slow
+    for many-digit l and g."""
+    ln, ld = l.numerator, l.denominator
+    gn, gd = g.numerator, g.denominator
+    col = []
+    lhs, rhs = gn, gd  # l^a * g^(b+1) as numerator and denominator
+    b = 0
+    for _ in range(rows):
+        while b < cap and lhs < rhs:
+            b += 1
+            lhs *= gn
+            rhs *= gd
+        col.append(b)
+        lhs *= ln
+        rhs *= ld
+    return col
+
+
 def trust_moves(tp: TrustParams, state: tuple[int, int]) -> dict[str, tuple[int, int]]:
     """The state (fails, boosts) after a skip, a failure and a success, with
     the clamp decided on exact Fractions."""

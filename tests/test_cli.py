@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,26 @@ def test_price_core_check_explicit_vector(linear_spec, capsys):
     assert doc["core_check"]["in_core"] is False
     # {s, r2} gets 0.5 together but is worth 0.6 on its own
     assert doc["core_check"]["witness"] == ["r2", "s"]
+
+
+def test_price_core_check_long_inline_vector(tmp_path, capsys):
+    # 13 players: the inline JSON is longer than a file name may be (255 bytes)
+    recs = [f"recommender{i:02d}" for i in range(12)]
+    spec = {"players": ["s", *recs], "scenario": "linear", "p": 0.5, "delta": 2, "q": [0.01] * 12}
+    game = tmp_path / "g13.json"
+    game.write_text(json.dumps(spec), encoding="utf-8")
+    vector = json.dumps({"s": "1.24", **{r: "0" for r in recs}})  # v(N) = (0.5 + 0.12) * 2
+    assert len(vector.encode()) > 255 and "/" not in vector  # one path component
+    path = tmp_path / "vector.json"
+    path.write_text(vector, encoding="utf-8")
+    base = ["price", "--game", str(game), "--method", "core-check", "--vector"]
+    outs = []
+    for given in (vector, str(path), "seller-all"):
+        code, out = run(base + [given], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["core_check"]["in_core"] is True
 
 
 def test_price_core_nonempty(linear_spec, capsys):
@@ -335,6 +356,21 @@ def test_simulate_validation_exit_codes(capsys):
                  "--n", "5", "--policy", "sometimes"]) == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("policy", ["all", "optimal"])
+def test_simulate_trials_checked_up_front(capsys, monkeypatch, trials, policy):
+    # --trials 0 used to skip Monte Carlo silently, -1 to fail after the whole DP
+    from fairprice import trust
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --trials was checked")
+
+    monkeypatch.setattr(trust, "_kernel", no_work)
+    assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33", "--n", "50",
+                 "--policy", policy, "--trials", trials]) == 2
+    assert capsys.readouterr().err == "error: --trials must be >= 1\n"
+
+
 @pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("inf", "inf"), ("-0.5", "-0.5")])
 @pytest.mark.parametrize("policy", ["all", "optimal"])
 def test_simulate_tol_must_be_finite(capsys, tol, shown, policy):
@@ -351,6 +387,44 @@ def test_simulate_over_the_kernel_state_cap(capsys):
     assert capsys.readouterr().err == (
         "error: horizon 20000 needs more than 4194304 trust states (the cap)\n"
     )
+
+
+FIG2_MANY_DIGITS = ["simulate", "--p0", "0.5", "--l", "1e-5000", "--g", "1e4000"]
+
+
+def _timed(argv, capsys, seconds=5):
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < seconds
+    return code, capsys.readouterr()
+
+
+def test_simulate_many_digits_optimal_in_bounded_time(capsys):
+    """l and g of ~5,000 digits took ~30 s in the clamp's big-integer loop.
+    Trust after a failure underflows to 0 and 2 skips restore it
+    (l * g^2 >= 1 > l * g), so V(t) = 0.5 (1 + V(t-1)) + 0.5 V(t-3)."""
+    code, std = _timed(FIG2_MANY_DIGITS + ["--n", "500", "--policy", "optimal"], capsys)
+    assert code == 0
+    v = [0.0, 0.0, 0.0]
+    for _ in range(500):
+        v.append(0.5 * (1.0 + v[-1]) + 0.5 * v[-3])
+    got = read_curve_csv(std.out)[0].values
+    assert got == pytest.approx(v[3:], rel=1e-10)  # the CSV keeps 12 digits
+
+
+def test_simulate_many_digits_every_k_in_bounded_time(capsys):
+    # the spacing test raised 1e4000 to the 1999th power (~11 s)
+    code, std = _timed(FIG2_MANY_DIGITS + ["--n", "2000", "--policy", "every-k:2000"], capsys)
+    assert code == 0
+    assert read_curve_csv(std.out)[0].values == (0.0,) * 1999 + (0.5,)
+
+
+def test_simulate_refused_horizon_exits_at_once(capsys):
+    # the refusal used to wait ~13 s for the clamp's big-integer loop
+    code, std = _timed(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33",
+                        "--n", "100000", "--policy", "all"], capsys, seconds=2)
+    assert code == 3
+    assert std.err == "error: horizon 100000 needs more than 4194304 trust states (the cap)\n"
 
 
 def test_verify_suite_runs(capsys):

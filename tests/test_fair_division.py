@@ -360,3 +360,54 @@ def test_argument_games_respect_the_player_cap(monkeypatch):
     monkeypatch.setenv("FAIRPRICE_MAX_PLAYERS", "17")
     assert len(fp.shapley_arguments(big)) == 17
     assert fp.anonymity_proof_shapley(big)[1] == {"r1": 1}
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs of the worth-table callers on fixed games
+# ---------------------------------------------------------------------------
+
+PINNED_GAMES = {
+    "linear": lambda: fp.build_linear("1/2", 10, ["1/10", "1/5", "3/20"]),
+    "threshold": lambda: fp.build_threshold("2/5", 6, 4, 2, "3/10"),
+    "general": lambda: fp.build_general(
+        "1/4", 8, {("s", "r1"): "1/2", ("s", "r2"): "1/3", ("s", "r1", "r2"): "1/5"},
+        recommenders=["r1", "r2"],
+    ),
+}
+
+# game: (v(N), v({s}), Shapley probe (truthful, best, grid index), the (n-1)-sets'
+# balanced inequality); the zero rule never finds a deviation, singletons always hold
+PINNED = {
+    "linear": (F(19, 2), F(5), (F(29, 4), F(19, 2), 0), True),
+    "threshold": (F(21, 5), F(12, 5), (F(87, 25), F(21, 5), 0), True),
+    "general": (F(18, 5), F(2), (F(164, 45), F(166, 45), 2), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_caller_outputs(name):
+    g = PINNED_GAMES[name]()
+    total, alone, (truthful, best, index), big_sets_hold = PINNED[name]
+    ids = sorted(g.player_ids)
+
+    bp = fp.bargaining_problem(g)
+    assert bp.total == total
+    assert bp.disagreement == {i: alone if i == "s" else F(0) for i in ids}
+
+    grid = scaled_report_grid(g)
+    report = fp.truthfulness_probe(g, fp.shapley_rule, grid)
+    assert (report.found, report.truthful_utility, report.best_utility) == (True, truthful, best)
+    assert report.report is grid[index]
+    zero = fp.truthfulness_probe(g, fp.zero_rule, grid)
+    assert (zero.found, zero.report, zero.truthful_utility, zero.best_utility) == (
+        False, None, total, total)
+
+    phi = fp.shapley(g)
+    assert phi["s"] == truthful  # the seller keeps v(N) less the recommenders' payments
+    assert fp.is_feasible(g, phi)
+    assert not fp.is_feasible(g, {**phi, "s": phi["s"] + F(1, 1000)})
+
+    singletons = fp.BalancedWeights({frozenset({i}): F(1) for i in ids})
+    big_sets = fp.BalancedWeights({frozenset(ids) - {i}: F(1, len(ids) - 1) for i in ids})
+    assert fp.balanced_inequality_holds(g, singletons)
+    assert fp.balanced_inequality_holds(g, big_sets) == big_sets_hold

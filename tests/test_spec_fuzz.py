@@ -90,6 +90,15 @@ def encoded(docs):
     vector=b"{}", methods="shapley", extra=["--format", "csv"],
 )
 @example(game=json.dumps(LINEAR).encode(), vector=b"[" * 100_000, methods="core-check", extra=[])
+# results past the float range or with more than 4300 digits used to raise on output
+@example(game=json.dumps({**LINEAR, "delta": "1e100000"}).encode(), vector=b"{}",
+         methods="shapley", extra=[])
+@example(game=json.dumps({**LINEAR, "delta": "1e400"}).encode(), vector=b"{}",
+         methods="nash", extra=["--format", "csv"])
+@example(game=json.dumps({**LINEAR, "delta": "1e-5000"}).encode(), vector=b"{}",
+         methods="shapley", extra=["--payment", "per-sale"])
+@example(game=json.dumps(LINEAR).encode(), vector=b'{"s": "1e100000", "r1": 0, "r2": 0}',
+         methods="core-check", extra=[])
 def test_price_survives_any_spec_bytes(game, vector, methods, extra):
     with tempfile.TemporaryDirectory() as tmp:
         game_path, vector_path = Path(tmp) / "game.json", Path(tmp) / "vector.json"

@@ -1,12 +1,14 @@
 import math
 import time
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    clamp_columns,
     dense_dp_oracle,
     history_tree_oracle,
     reachable_states,
@@ -17,7 +19,7 @@ from oracles import (
 import fairprice as fp
 from fairprice import TrustParams, ValidationError, trust
 from fairprice.errors import ResourceCapError
-from fairprice.trust import AllPolicy, EveryK, _kernel, expected_curve
+from fairprice.trust import AllPolicy, EveryK, _frontier, _kernel, expected_curve
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +193,83 @@ def test_recovery_threshold_matches_stepping(l, g):
             fp.recovery_threshold(l, g, cap=cap)
     else:
         assert fp.recovery_threshold(l, g, cap=cap) == want
+
+
+def test_recovery_threshold_bounded_for_any_cap():
+    """Huge caps return or refuse at once: the exact check of a candidate m
+    used to raise g to the m-th power even for m near 7e16."""
+    start = time.perf_counter()
+    assert fp.recovery_threshold("0.66", "1.33", cap=10**30) == 2
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = math.ceil(Decimal(2).ln() / Decimal("1.00000000001").ln())  # ...056.34
+    assert fp.recovery_threshold("0.5", "1.00000000001", cap=10**20) == want
+    for g in ("1.00000000000000001", "1.0000000000001", "1." + "0" * 40 + "1"):
+        with pytest.raises(ResourceCapError, match="too many to decide"):
+            fp.recovery_threshold("0.5", g, cap=10**20)
+    # l * g^(10^6) is 1 to 60 digits: deciding it needs g^(10^6), 41M bits
+    g = 1 + F(1, 2**40)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        l = F((1 + Decimal(2) ** -40) ** -(10**6))
+    with pytest.raises(ResourceCapError, match="too many to decide"):
+        fp.recovery_threshold(l, g, cap=10**7)
+    assert time.perf_counter() - start < 1
+
+
+def _ties(c_max=20):
+    """(l, g) = (c^-b0, c^a0): l^a * g^m = 1 exactly wherever a * b0 = m * a0."""
+    c = st.fractions(min_value=F(9, 8), max_value=c_max, max_denominator=9)
+    return st.builds(lambda c, b0, a0: (c**-b0, c**a0), c, st.integers(1, 6), st.integers(1, 6))
+
+
+def _near(pair, k, sign):
+    l, g = pair
+    return l * (1 + sign * F(1, 10**k)), g
+
+
+CLAMP_PAIRS = st.one_of(
+    _ties(),
+    st.builds(_near, _ties(), st.integers(5, 40), st.sampled_from([-1, 1])),
+    # many digits: with k = 1, a * i / j is an integer (a tie) every j / gcd(i, j) rows
+    st.builds(lambda i, j, k: (F(k, 10**i), F(10**j)),
+              st.integers(300, 600), st.integers(300, 600), st.sampled_from([1, 1, 3, 7])),
+    st.builds(lambda l: (l, F(1)), st.fractions(min_value=0, max_value=F(99, 100))),
+    st.builds(lambda g: (F(0), g), st.fractions(min_value=1, max_value=50)),
+    st.tuples(st.fractions(min_value=0, max_value=F(999, 1000), max_denominator=10**6),
+              st.fractions(min_value=1, max_value=50, max_denominator=1000)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=CLAMP_PAIRS, rows=st.integers(1, 80), cap=st.integers(0, 100))
+def test_frontier_matches_big_integer_loop(pair, rows, cap):
+    l, g = pair
+    assert _frontier(l, g, rows, cap).tolist() == clamp_columns(l, g, rows, cap)
+
+
+@pytest.mark.parametrize(
+    "l, g",
+    [("1/2", 2), ("1/4", 2), ("1/8", 4), ("4/9", "3/2"), ("1e-500", "1e400"), ("1e-5000", "1e4000"),
+     ("1e-5000", "1e1000"), (0, 2), ("0.66", 1), (0, 1), ("0.999", "1000/999"), ("0.66", "1.33")],
+)
+@pytest.mark.parametrize("rows, cap", [(1, 0), (2, 0), (2, 1), (60, 5), (60, 200)])
+def test_frontier_edge_cases(l, g, rows, cap):
+    l, g = F(l), F(g)
+    assert _frontier(l, g, rows, cap).tolist() == clamp_columns(l, g, rows, cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=st.one_of(_ties(c_max=3), st.tuples(
+           st.fractions(min_value=0, max_value=F(19, 20), max_denominator=100),
+           st.fractions(min_value=1, max_value=3, max_denominator=100))),
+       k=st.integers(1, 12), n=st.integers(1, 12))
+def test_every_k_spacing_matches_fraction_power(pair, k, n):
+    """The closed form (exact rationals) is taken iff k > n or l * g^(k-1) >= 1."""
+    l, g = pair
+    curve = fp.every_k_reward(TrustParams("1/2", l, g, 1, reset=True), k, n)
+    spaced = k > n or l * g ** (k - 1) >= 1
+    assert all(isinstance(v, F) for v in curve.values) == spaced
 
 
 # ---------------------------------------------------------------------------
