@@ -8,6 +8,7 @@ Feasibility is decided by a phase-1 simplex over Fractions with Bland's
 rule, so the verdict is exact: a feasible point or a Farkas-style
 infeasibility certificate (nonnegative multipliers for the inequalities,
 free ones for the equalities, combining the system into 0 >= positive).
+Pivots do Fraction arithmetic on the pivot row's nonzero columns only.
 Constraint counts are exponential in the player count.  Core membership and
 the separation scan between row-generation rounds are integer passes over
 the game's worth table; the simplex sees only the rows activated so far.
@@ -121,9 +122,11 @@ def lp_feasible(sys: LinearSystem) -> FeasibilityResult:
 
     Free variables are split into nonnegative pairs, inequalities get
     surplus variables, and a phase-1 simplex (Bland's rule) minimizes the
-    artificial total.  Zero optimum yields a point, positive optimum yields
-    Farkas multipliers read off the optimal dual values; both are verified
-    exactly before returning.
+    artificial total.  Its pivots and initial reduced costs do arithmetic on
+    nonzero entries only, so each entry, choice and result is the dense
+    tableau's.  Zero optimum yields a point, positive optimum yields Farkas
+    multipliers read off the optimal dual values; both are verified exactly
+    before returning.
     """
     nvar = len(sys.variables)
     var_index = {v: j for j, v in enumerate(sys.variables)}
@@ -162,33 +165,30 @@ def lp_feasible(sys: LinearSystem) -> FeasibilityResult:
 
     # Phase-1 objective: minimize sum of artificials.  Reduced-cost row for
     # the current (all-artificial) basis: z_j = c_j - sum of column j over rows.
-    cost = [Fraction(0)] * n_cols
-    for j in range(art0, n_cols):
-        cost[j] = Fraction(1)
-    zrow = [Fraction(0)] * (n_cols + 1)
-    for j in range(n_cols):
-        zrow[j] = cost[j] - sum(tableau[i][j] for i in range(m))
-    zrow[-1] = -sum(tableau[i][-1] for i in range(m))
+    zrow = [Fraction(0)] * art0 + [Fraction(1)] * m + [Fraction(0)]
+    for row in tableau:
+        for j, x in enumerate(row):
+            if x:
+                zrow[j] -= x
 
     def pivot(pr: int, pc: int) -> None:
-        piv = tableau[pr][pc]
-        tableau[pr] = [x / piv for x in tableau[pr]]
-        for i in range(m):
-            if i != pr and tableau[i][pc] != 0:
-                f = tableau[i][pc]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[pr])]
-        if zrow[pc] != 0:
-            f = zrow[pc]
-            for j in range(n_cols + 1):
-                zrow[j] -= f * tableau[pr][j]
+        prow = tableau[pr]
+        piv = prow[pc]
+        cols = [j for j, x in enumerate(prow) if x]  # a - f*0 == a elsewhere
+        for j in cols:
+            prow[j] /= piv
+        for row in tableau + [zrow]:
+            f = row[pc]
+            if f and row is not prow:
+                for j in cols:
+                    row[j] -= f * prow[j]
         basis[pr] = pc
 
     while True:
         enter = next((j for j in range(n_cols) if zrow[j] < 0), None)  # Bland
         if enter is None:
             break
-        leave = None
-        best = None
+        leave = best = None
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:

@@ -54,7 +54,10 @@ def brief_str(x: Fraction) -> str:
         return str(x)
     exp10 = math.log10(abs(x.numerator)) - math.log10(x.denominator)
     e = math.floor(exp10)
-    return f"~{'-' if x < 0 else ''}{10 ** (exp10 - e):.4g}e{e:+d}"
+    mantissa = float(f"{10 ** (exp10 - e):.4g}")
+    if mantissa >= 10:  # exp10 fell just below an integer and 9.9999.. rounded up
+        mantissa, e = 1.0, e + 1
+    return f"~{'-' if x < 0 else ''}{mantissa:.4g}e{e:+d}"
 
 
 def frac_str(x: Fraction) -> str:

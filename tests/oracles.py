@@ -8,7 +8,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from fairprice.corelp import FarkasCertificate, LinearSystem
+from fairprice.corelp import (
+    FarkasCertificate,
+    FeasibilityResult,
+    LinearSystem,
+    certificate_refutes,
+    satisfies,
+)
 from fairprice.fair_division import BargainingProblem
 from fairprice.games import Game, PayoffVector
 from fairprice.trust import TrustParams
@@ -89,6 +95,116 @@ def seller_veto_core_oracle(
     rows = [frozenset(con.coeffs) for con in system.inequalities]
     ineq = tuple(Fraction(int(r == best or (len(r) == 1 and not r <= best))) for r in rows)
     return FarkasCertificate((Fraction(-1),), ineq)
+
+
+def dense_simplex_oracle(sys: LinearSystem) -> FeasibilityResult:
+    """`corelp.lp_feasible` as a dense tableau: every pivot divides the whole
+    pivot row and rebuilds every row with a nonzero pivot-column entry in
+    full, and the initial reduced costs sum whole columns.  The same Bland
+    choices on the same values, so its result must equal the sparse one.
+
+    Free variables are split into nonnegative pairs, inequalities get
+    surplus variables, and a phase-1 simplex (Bland's rule) minimizes the
+    artificial total.  Zero optimum yields a point, positive optimum yields
+    Farkas multipliers read off the optimal dual values; both are verified
+    exactly before returning.
+    """
+    nvar = len(sys.variables)
+    var_index = {v: j for j, v in enumerate(sys.variables)}
+    rows = list(sys.equalities) + list(sys.inequalities)
+    n_eq = len(sys.equalities)
+    m = len(rows)
+    if m == 0:
+        return FeasibilityResult(True, {v: Fraction(0) for v in sys.variables}, None)
+
+    # Columns: u_0..  (x+), w_0..  (x-), s_0.. (surplus, inequalities only),
+    # then one artificial per row.
+    n_s = len(sys.inequalities)
+    n_cols = 2 * nvar + n_s + m
+    art0 = 2 * nvar + n_s
+
+    tableau: list[list[Fraction]] = []
+    flips: list[int] = []
+    for ri, con in enumerate(rows):
+        row = [Fraction(0)] * (n_cols + 1)
+        for v, c in con.coeffs.items():
+            j = var_index[v]
+            row[j] = c
+            row[nvar + j] = -c
+        if ri >= n_eq:
+            row[2 * nvar + (ri - n_eq)] = Fraction(-1)  # lhs - s = rhs
+        row[-1] = con.rhs
+        if row[-1] < 0:
+            row = [-x for x in row]
+            flips.append(-1)
+        else:
+            flips.append(1)
+        row[art0 + ri] = Fraction(1)
+        tableau.append(row)
+
+    basis = [art0 + i for i in range(m)]
+
+    # Phase-1 objective: minimize sum of artificials.  Reduced-cost row for
+    # the current (all-artificial) basis: z_j = c_j - sum of column j over rows.
+    cost = [Fraction(0)] * n_cols
+    for j in range(art0, n_cols):
+        cost[j] = Fraction(1)
+    zrow = [Fraction(0)] * (n_cols + 1)
+    for j in range(n_cols):
+        zrow[j] = cost[j] - sum(tableau[i][j] for i in range(m))
+    zrow[-1] = -sum(tableau[i][-1] for i in range(m))
+
+    def pivot(pr: int, pc: int) -> None:
+        piv = tableau[pr][pc]
+        tableau[pr] = [x / piv for x in tableau[pr]]
+        for i in range(m):
+            if i != pr and tableau[i][pc] != 0:
+                f = tableau[i][pc]
+                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[pr])]
+        if zrow[pc] != 0:
+            f = zrow[pc]
+            for j in range(n_cols + 1):
+                zrow[j] -= f * tableau[pr][j]
+        basis[pr] = pc
+
+    while True:
+        enter = next((j for j in range(n_cols) if zrow[j] < 0), None)  # Bland
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise AssertionError("phase-1 objective is bounded below; no ratio row found")
+        pivot(leave, enter)
+
+    objective = -zrow[-1]
+
+    if objective == 0:
+        point = {v: Fraction(0) for v in sys.variables}
+        uw = [Fraction(0)] * (2 * nvar)
+        for i, b in enumerate(basis):
+            if b < 2 * nvar:
+                uw[b] = tableau[i][-1]
+        for v, j in var_index.items():
+            point[v] = uw[j] - uw[nvar + j]
+        if not satisfies(sys, point):
+            raise AssertionError("exact simplex produced a non-satisfying point")
+        return FeasibilityResult(True, point, None)
+
+    # Dual values: reduced cost of artificial column k is 1 - y_k, and the
+    # original-row multiplier undoes the sign flip applied to the row.
+    mult = [flips[k] * (Fraction(1) - zrow[art0 + k]) for k in range(m)]
+    cert = FarkasCertificate(tuple(mult[:n_eq]), tuple(mult[n_eq:]))
+    if not certificate_refutes(sys, cert):
+        raise AssertionError("exact simplex produced an invalid Farkas certificate")
+    return FeasibilityResult(False, None, cert)
 
 
 def nash_product_grid_oracle(bp: BargainingProblem, steps: int = 60) -> PayoffVector:

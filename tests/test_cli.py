@@ -41,10 +41,11 @@ def run(args, capsys):
     return code, out
 
 
-@pytest.mark.parametrize("name", ["linear10", "general6"])
+@pytest.mark.parametrize("name", ["linear10", "general6", "threshold12"])
 def test_price_shapley_core_golden(name, capsys, monkeypatch):
-    """Byte-exact stdout: Shapley values plus a Core point (linear10) or a
-    Farkas certificate over all 62 proper coalitions (general6)."""
+    """Byte-exact stdout: Shapley values plus a Core point (linear10, and
+    threshold12 after 12 row-generation LPs) or a Farkas certificate over all
+    62 proper coalitions (general6)."""
     golden = Path(__file__).parent / "golden"
     monkeypatch.chdir(golden.parent.parent)
     argv = ["price", "--game", f"tests/golden/{name}.json", "--method", "shapley,core-nonempty"]

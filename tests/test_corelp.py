@@ -1,13 +1,16 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 import fairprice as fp
-from fairprice import LinearSystem, ValidationError
+from fairprice import LinearSystem, ValidationError, corelp
 from fairprice.corelp import satisfies
 from fairprice.verification import _brute_force_in_core, random_table_game
+from oracles import dense_simplex_oracle
 
 
 def test_lp_trivially_infeasible():
@@ -70,6 +73,68 @@ def test_lp_planted_instances():
             res = fp.lp_feasible(sys_)
             assert not res.feasible
             assert fp.certificate_refutes(sys_, res.certificate)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail instead of hanging: a pivot that leaves a stale reduced-cost row
+    can make Bland's rule re-enter the same column forever."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def linear_systems(draw):
+    """Systems over up to four variables, some in no row at all (free), with
+    empty and all-zero rows, negative right-hand sides (flipped rows) and,
+    half the time, right-hand sides planted around a point, so that feasible
+    and degenerate systems come up as well as infeasible ones."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    coeffs = st.dictionaries(st.sampled_from(names), small_fractions)
+    eqs = draw(st.lists(st.tuples(coeffs, small_fractions), max_size=3))
+    ineqs = draw(st.lists(st.tuples(coeffs, small_fractions), max_size=7))
+    if draw(st.booleans()):
+        point = {v: draw(small_fractions) for v in names}
+
+        def lhs(c):
+            return sum((a * point[v] for v, a in c.items()), F(0))
+
+        slack = st.fractions(min_value=0, max_value=2, max_denominator=2)
+        eqs = [(c, lhs(c)) for c, _ in eqs]
+        ineqs = [(c, lhs(c) - draw(slack)) for c, _ in ineqs]
+    return LinearSystem.create(names, eqs, ineqs)
+
+
+@given(sys_=linear_systems())
+def test_lp_matches_dense_simplex_oracle(sys_):
+    # equal, not only valid: the same verdict, point and certificate
+    with time_limit(2):
+        got = fp.lp_feasible(sys_)
+    assert got == dense_simplex_oracle(sys_)
+
+
+def test_core_matches_dense_simplex_oracle(monkeypatch):
+    rng = random.Random(8080)
+    games = [random_table_game(rng, n_rec=rng.randint(1, 5)) for _ in range(60)]
+    games += [fp.build_linear(F(1, 5), F(37, 2), [F(i % 7 + 1, 100) for i in range(n)])
+              for n in (3, 6, 9)]
+    games += [fp.build_threshold(F(1, 5), 30, n, k, F(3, 10))
+              for n, k in ((4, 4), (6, 3), (9, 9), (9, 4))]
+    with time_limit(20):
+        sparse = [fp.core_is_nonempty(g) for g in games]
+    monkeypatch.setattr(corelp, "lp_feasible", dense_simplex_oracle)
+    assert [fp.core_is_nonempty(g) for g in games] == sparse
 
 
 def test_core_system_of_table1_linear():
