@@ -11,12 +11,16 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import fair_division as fd
-from . import specio, trust, verification
+from . import specio, verification
 from .errors import FairpriceError, ResourceCapError, ValidationError
 from .games import Game
 from .rational import decimal_str, frac_str
+
+if TYPE_CHECKING:
+    from . import trust
 
 EXIT_OK = 0
 EXIT_CLAIMS_FAILED = 1
@@ -213,6 +217,8 @@ def cmd_price(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_policy(spec: str, tp: trust.TrustParams, n: int):
+    from . import trust
+
     if spec == "all":
         return trust.AllPolicy(), None
     if spec == "optimal":
@@ -228,12 +234,16 @@ def _parse_policy(spec: str, tp: trust.TrustParams, n: int):
 
 
 def cmd_simulate(args) -> int:
+    from . import trust
+
     tp = trust.TrustParams(args.p0, args.l, args.g, args.r, reset=args.reset)
     if args.n < 1:
         raise ValidationError("--n must be >= 1")
-    if args.trials is not None and args.trials < 1:
-        raise ValidationError("--trials must be >= 1")
+    if args.trials is not None:
+        trust.check_monte_carlo(args.trials, args.seed, prefix="--")
     trust.check_tolerance("--tol", args.tol, zero_ok=True)
+    if args.split and not args.out:
+        raise ValidationError("--split requires --out <directory>")
     policy, dp_curve = _parse_policy(args.policy, tp, args.n)
 
     if dp_curve is not None:
@@ -248,8 +258,6 @@ def cmd_simulate(args) -> int:
         curves.append(trust.mc_simulate(tp, policy, args.n, args.trials, args.seed))
 
     if args.split:
-        if not args.out:
-            raise ValidationError("--split requires --out <directory>")
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for c in curves:

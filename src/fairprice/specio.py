@@ -20,13 +20,15 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .errors import ResourceCapError, ValidationError
 from .fair_division import ArgumentGame
 from .games import Game, build_general, build_linear, build_threshold
 from .rational import as_fraction, brief_str, decimal_str, frac_str
-from .trust import RewardCurve
+
+if TYPE_CHECKING:
+    from .trust import RewardCurve
 
 CSV_HEADER = ["step", "policy", "expected_cumulative_reward", "stderr"]
 
@@ -195,6 +197,8 @@ def curves_to_csv(curves: list[RewardCurve]) -> str:
 
 def read_curve_csv(text: str) -> list[RewardCurve]:
     """Parse a curve CSV produced by `curves_to_csv` (round-trip reader)."""
+    from .trust import RewardCurve
+
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != CSV_HEADER:

@@ -31,6 +31,9 @@ DEFAULT_DP_CAP = 500
 # the kernel keeps about a dozen per-state arrays, ~100 bytes a state: 2^22
 # states is ~0.4 GB (Figure 2 reaches it near n = 3,750; states grow like 0.3 n^2)
 KERNEL_STATE_CAP = 2**22
+# Monte Carlo holds ~42 bytes a trial at its peak (state index, running sum,
+# draws, masks and index temporaries): 2^23 trials is ~0.35 GB
+MC_TRIAL_CAP = 2**23
 _EXACT_BITS = 2**22  # the largest power, in bits, an exact clamp check builds (~0.5 s)
 
 
@@ -227,6 +230,18 @@ def check_tolerance(name: str, value: float, *, zero_ok: bool = False) -> None:
     if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
         bound = ">= 0" if zero_ok else "> 0"
         raise ValidationError(f"{name} must be finite and {bound}, got {value}")
+
+
+def check_monte_carlo(trials: int, seed: int, *, prefix: str = "") -> None:
+    """Refuse a Monte-Carlo run before it allocates anything: trials must be
+    >= 1 and at most MC_TRIAL_CAP, and the seed an int >= 0 (PCG64 takes no
+    negative seed)."""
+    if trials < 1:
+        raise ValidationError(f"{prefix}trials must be >= 1")
+    if not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"{prefix}seed must be an integer >= 0, got {seed!r}")
+    if trials > MC_TRIAL_CAP:
+        raise ResourceCapError(f"{trials} Monte-Carlo trials exceed the cap of {MC_TRIAL_CAP}")
 
 
 def _require_plain_decay(tp: TrustParams, reset: bool) -> None:
@@ -589,8 +604,7 @@ def mc_simulate(
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    check_monte_carlo(trials, seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     k = _kernel(tp, n)
     rf = float(tp.r)

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import corelp, fair_division as fd, games, trust
+from . import corelp, fair_division as fd, games
 from .errors import ValidationError
 
 SUITES = ("bounds", "truthfulness", "figure2", "core-laws", "shapley-axioms")
@@ -73,6 +73,8 @@ def random_table_game(rng: random.Random, n_rec: int | None = None) -> games.Gam
 # ---------------------------------------------------------------------------
 
 def suite_figure2(seed: int = 20240117) -> list[CheckResult]:
+    from . import trust
+
     out = []
     n = FIGURE2["n"]
     started = time.perf_counter()
@@ -143,6 +145,8 @@ def suite_figure2(seed: int = 20240117) -> list[CheckResult]:
 
 
 def suite_bounds(seed: int = 0) -> list[CheckResult]:
+    from . import trust
+
     out = []
     grid = [Fraction(i, 10) for i in range(1, 10)]
     worst_gap = None

@@ -372,6 +372,38 @@ def test_simulate_trials_checked_up_front(capsys, monkeypatch, trials, policy):
     assert capsys.readouterr().err == "error: --trials must be >= 1\n"
 
 
+@pytest.mark.parametrize("mc_args, code, err", [
+    # --seed -1 used to end in numpy's ValueError traceback, after the whole DP
+    (["--trials", "10", "--seed", "-1"], 2, "--seed must be an integer >= 0, got -1"),
+    (["--trials", "101"], 3, "101 Monte-Carlo trials exceed the cap of 100"),
+])
+def test_simulate_seed_and_trial_cap_checked_up_front(capsys, monkeypatch, mc_args, code, err):
+    from fairprice import trust
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the Monte-Carlo arguments were checked")
+
+    monkeypatch.setattr(trust, "_kernel", no_work)
+    monkeypatch.setattr(trust, "MC_TRIAL_CAP", 100)
+    assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33", "--n", "50",
+                 "--policy", "optimal", *mc_args]) == code
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_simulate_split_without_out_checked_up_front(capsys, monkeypatch):
+    # used to run the DP and Monte Carlo (~1.4 s at n = 500, 10^5 trials) first
+    from fairprice import trust
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --split was checked")
+
+    monkeypatch.setattr(trust, "dp_optimal", no_work)
+    monkeypatch.setattr(trust, "mc_simulate", no_work)
+    assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33", "--n", "500",
+                 "--policy", "optimal", "--trials", "100000", "--split"]) == 2
+    assert capsys.readouterr().err == "error: --split requires --out <directory>\n"
+
+
 @pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("inf", "inf"), ("-0.5", "-0.5")])
 @pytest.mark.parametrize("policy", ["all", "optimal"])
 def test_simulate_tol_must_be_finite(capsys, tol, shown, policy):
@@ -465,3 +497,37 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from fairprice import cli
+
+loaded = {"import": "numpy" in sys.modules}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded[name] = [cli.main(argv), "numpy" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_pricing_path_loads_no_numpy(linear_spec):
+    # numpy is ~0.14 s of a cold process; only the trust layer uses it
+    steps = [
+        ["price", ["price", "--game", str(linear_spec),
+                   "--method", "shapley,nash,core-nonempty"]],
+        ["core-laws", ["verify", "--suite", "core-laws"]],
+        ["simulate", ["simulate", "--p0", "0.5", "--l", "0.66", "--n", "5",
+                      "--policy", "all"]],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(steps)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": False,
+        "price": [0, False],
+        "core-laws": [0, False],
+        "simulate": [0, True],
+    }

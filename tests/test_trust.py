@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import time
 import warnings
 from decimal import Decimal, localcontext
@@ -667,6 +669,22 @@ def test_mc_validation(fig2_recovery):
         fp.mc_simulate(fig2_recovery, AllPolicy(), 0, trials=10, seed=0)
     with pytest.raises(ValidationError):
         fp.mc_simulate(fig2_recovery, AllPolicy(), 5, trials=0, seed=0)
+    # PCG64 raised its own ValueError on a negative seed
+    for seed in (-3, 1.5, "7", None):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            fp.mc_simulate(fig2_recovery, AllPolicy(), 5, 10, seed)
+
+
+def test_mc_trial_cap(fig2_recovery, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the trial cap was checked")
+
+    monkeypatch.setattr(trust, "MC_TRIAL_CAP", 50)
+    assert len(fp.mc_simulate(fig2_recovery, AllPolicy(), 5, trials=50, seed=0)) == 5
+    monkeypatch.setattr(trust, "_kernel", no_work)
+    monkeypatch.setattr(np.random, "PCG64", no_work)
+    with pytest.raises(ResourceCapError, match="51 Monte-Carlo trials exceed the cap of 50"):
+        fp.mc_simulate(fig2_recovery, AllPolicy(), 5, trials=51, seed=0)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -677,3 +695,55 @@ def test_mc_within_four_sigma_of_expectation(tp, n, which, seed):
     mc = fp.mc_simulate(tp, policy, n, trials=2000, seed=seed)
     exact = expected_curve(tp, policy, n)
     assert abs(mc.final - exact.final) <= 4 * mc.stderr[-1] + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Package API: the trust names load lazily but stay where they were
+# ---------------------------------------------------------------------------
+
+TRUST_API = (
+    "AllPolicy", "EveryK", "OptimalPolicy", "Policy", "RewardCurve", "TrustParams",
+    "dilog", "dilog_series", "dp_optimal", "every_k_reward", "expected_curve",
+    "mc_simulate", "no_reset_total", "no_reset_total_geometric", "recovery_threshold",
+    "with_reset_total", "with_reset_total_bound", "zero_success_lower_bound",
+    "zero_success_probability",
+)
+
+
+@pytest.mark.parametrize("name", TRUST_API)
+def test_package_reexports_trust_name(name):
+    assert getattr(fp, name) is getattr(fp.trust, name)
+    namespace = {}
+    exec(f"from fairprice import {name}", namespace)
+    assert namespace[name] is getattr(trust, name)
+    assert name in dir(fp)
+
+
+def test_plain_package_import_resolves_trust_names_on_first_use():
+    probe = (
+        "import sys, fairprice\n"
+        "assert 'fairprice.trust' not in sys.modules and 'numpy' not in sys.modules\n"
+        f"names = {TRUST_API!r}\n"
+        "first = [getattr(fairprice, n) for n in names]\n"
+        "import fairprice.trust as t\n"
+        "assert fairprice.trust is t\n"
+        "assert all(a is getattr(t, n) for a, n in zip(first, names))\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_package_star_import_and_unknown_names():
+    namespace = {}
+    exec("from fairprice import *", namespace)
+    for name in TRUST_API:
+        assert namespace[name] is getattr(trust, name)
+    assert namespace["trust"] is trust and fp.trust is trust
+    assert "trust" in dir(fp)
+    assert namespace["shapley"] is fp.fair_division.shapley
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fp.no_such_name
+    with pytest.raises(ImportError):
+        exec("from fairprice import no_such_name", {})
