@@ -38,7 +38,6 @@ from .games import (
     Coalition,
     Game,
     PayoffVector,
-    Player,
     add_games,
     build_general,
     build_linear,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ResourceCapError, ValidationError
-from .games import Coalition, Game, WorthTable, lex_masks, max_players, subset_sums
+from .errors import ValidationError
+from .games import Coalition, Game, WorthTable, lex_masks, subset_sums
 from .rational import Rational, as_fraction
 
 
@@ -289,8 +289,6 @@ def core_is_nonempty(game: Game) -> CoreExistence:
     Farkas certificate extends to the full system with zero multipliers on
     inactive rows.
     """
-    if len(game.players) > max_players():
-        raise ResourceCapError("player count exceeds the configured cap")
     t = game.table()
     eq = _row(t, len(t.nums) - 1)
 

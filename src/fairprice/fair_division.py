@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ValidationError
 from .games import (
-    MAX_PLAYERS_ENV,
     Coalition,
     Game,
     PayoffVector,
     ScenarioMeta,
-    max_players,
+    check_size,
     popcounts,
     scatter_table,
 )
@@ -46,10 +45,8 @@ def shapley(game: Game) -> PayoffVector:
                 |S|! (n-1-|S|)! / n! * (v(S+i) - v(S))
     in integers over the game's worth table.
     """
-    n = len(game.player_ids)
-    if n > max_players():
-        raise ResourceCapError("player count exceeds the configured cap")
     t = game.table()
+    n = len(t.ids)
     weights = [math.factorial(s) * math.factorial(n - 1 - s) for s in range(n)]
     totals = _marginal_sums(t.nums, weights)
     scale = t.den * math.factorial(n)
@@ -140,11 +137,7 @@ def _uniform_marginal_value(worths: Mapping[Coalition, Fraction], ids: Sequence[
     `worths` is sparse over subsets of `ids`; missing coalitions are worth 0.
     """
     n = len(ids)
-    cap = max_players()
-    if n > cap:
-        raise ResourceCapError(
-            f"{n} arguments exceeds the cap of {cap} (override with {MAX_PLAYERS_ENV})"
-        )
+    check_size(n, "arguments")
     den, nums = scatter_table(tuple(ids), worths)
     totals = _marginal_sums(nums, [1] * n)
     scale = den * math.factorial(n)
@@ -212,6 +205,8 @@ class BargainingProblem:
     disagreement: dict[str, Fraction]
 
     def __post_init__(self):
+        if not self.disagreement:
+            raise ValidationError("a bargaining problem needs at least one player")
         if any(d < 0 for d in self.disagreement.values()):
             raise ValidationError("disagreement payoffs must be nonnegative")
         if self.total < sum(self.disagreement.values(), Fraction(0)):
@@ -322,8 +317,8 @@ def scale_margin(game: Game, factor: Rational) -> Game:
         t = game.table()
         return t.den * factor.denominator, [x * factor.numerator for x in t.nums]
 
-    scaled = ScenarioMeta(meta.p, meta.delta * factor, meta.sale_probability)
-    return Game(game.players, fill_table, scaled)
+    scaled = ScenarioMeta(meta.delta * factor, meta.sale_probability)
+    return Game(game.seller, game.recommenders, fill_table, scaled)
 
 
 def truthfulness_probe(

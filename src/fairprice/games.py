@@ -14,10 +14,11 @@ Three scenario constructors are provided:
 Games may also be built from an explicit worth table (used by tests and
 property checks).  All arithmetic is exact; floats never enter here.
 
-A game stores its worths in one place, `Game.table()`: the worth of every
-coalition as integer numerators over one common denominator, indexed by
-bitmask.  Each builder's `fill_table` is the only code that knows its
-scenario formula; `Game.worth` and all pricing code read the table.
+A game is its seller, its recommenders and one worth table, `Game.table()`:
+the worth of every coalition as integer numerators over one common
+denominator, indexed by bitmask, filled when the game is built.  Each
+builder's `fill_table` is the only code that knows its scenario formula;
+`Game.worth` and all pricing code read the table.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import ResourceCapError, ValidationError
 from .rational import Rational, as_fraction, brief_str
-
-SELLER = "seller"
-RECOMMENDER = "recommender"
 
 DEFAULT_MAX_PLAYERS = 16
 MAX_PLAYERS_ENV = "FAIRPRICE_MAX_PLAYERS"
@@ -58,14 +56,13 @@ def max_players() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class Player:
-    id: str
-    kind: str  # SELLER or RECOMMENDER
-
-    def __post_init__(self):
-        if self.kind not in (SELLER, RECOMMENDER):
-            raise ValidationError(f"unknown player kind {self.kind!r}")
+def check_size(n: int, what: str) -> None:
+    """Refuse a 2^n table over more than `max_players()` players or arguments."""
+    cap = max_players()
+    if n > cap:
+        raise ResourceCapError(
+            f"{n} {what} exceeds the cap of {cap} (override with {MAX_PLAYERS_ENV})"
+        )
 
 
 class WorthTable(NamedTuple):
@@ -111,48 +108,37 @@ def popcounts(n: int) -> list[int]:
 @dataclass(frozen=True)
 class ScenarioMeta:
     """What pricing needs of a scenario game (None for raw table games):
-    the base probability p, the margin delta, and the grand coalition's
-    selling probability p + f(N)."""
+    the margin delta and the grand coalition's selling probability p + f(N)."""
 
-    p: Fraction
     delta: Fraction
     sale_probability: Fraction
 
 
 class Game:
-    """Immutable coalitional game ⟨players, worth⟩.
+    """Immutable coalitional game: one seller, its recommenders, one worth table.
 
     `fill_table` maps the sorted player ids to (den, nums), the worth of
-    every coalition by bitmask; it runs once, on the first call to `table`.
+    every coalition by bitmask; it runs once, when the game is built.
     The worth is nonnegative, zero on the empty set and on every coalition
     that excludes the seller.
     """
 
     def __init__(
         self,
-        players: tuple[Player, ...],
+        seller: str,
+        recommenders: Iterable[str],
         fill_table: Callable[[tuple[str, ...]], tuple[int, list[int]]],
         scenario: ScenarioMeta | None,
     ):
-        ids = [p.id for p in players]
-        if len(set(ids)) != len(ids):
+        players = (seller, *recommenders)
+        if len(set(players)) != len(players):
             raise ValidationError("player ids must be unique")
-        sellers = [p for p in players if p.kind == SELLER]
-        if len(sellers) != 1:
-            raise ValidationError(f"exactly one seller required, got {len(sellers)}")
-        cap = max_players()
-        if len(players) > cap:
-            raise ResourceCapError(
-                f"{len(players)} players exceeds the cap of {cap} "
-                f"(override with {MAX_PLAYERS_ENV})"
-            )
+        check_size(len(players), "players")
+        ids = tuple(sorted(players))
         self._players = players
-        self._ids = frozenset(ids)
-        self._sorted_ids = tuple(sorted(ids))
-        self._bits = {pid: 1 << j for j, pid in enumerate(self._sorted_ids)}
-        self._seller = sellers[0].id
-        self._fill_table = fill_table
-        self._table: WorthTable | None = None
+        self._ids = frozenset(players)
+        self._bits = {pid: 1 << j for j, pid in enumerate(ids)}
+        self._table = WorthTable(ids, *fill_table(ids))
         self._scenario = scenario
 
     @property
@@ -160,7 +146,8 @@ class Game:
         return self._scenario
 
     @property
-    def players(self) -> tuple[Player, ...]:
+    def players(self) -> tuple[str, ...]:
+        """The player ids, seller first."""
         return self._players
 
     @property
@@ -169,11 +156,11 @@ class Game:
 
     @property
     def seller(self) -> str:
-        return self._seller
+        return self._players[0]
 
     @property
     def recommenders(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self._players if p.kind == RECOMMENDER)
+        return self._players[1:]
 
     @property
     def grand_coalition(self) -> Coalition:
@@ -185,19 +172,16 @@ class Game:
         unknown = s - self._ids
         if unknown:
             raise ValidationError(f"unknown player id(s) in coalition: {sorted(unknown)}")
-        t = self.table()
+        t = self._table
         return Fraction(t.nums[sum(self._bits[pid] for pid in s)], t.den)
 
     def table(self) -> WorthTable:
-        """The worth of every coalition, built on first use and then cached."""
-        if self._table is None:
-            den, nums = self._fill_table(self._sorted_ids)
-            self._table = WorthTable(self._sorted_ids, den, nums)
+        """The worth of every coalition."""
         return self._table
 
     def coalitions(self) -> Iterable[Coalition]:
         """All 2^|N| coalitions, in lexicographic order of sorted-id tuples."""
-        ids = self._sorted_ids
+        ids = self._table.ids
         for m in lex_masks(len(ids)):
             yield frozenset(pid for j, pid in enumerate(ids) if m >> j & 1)
 
@@ -206,10 +190,6 @@ class Game:
         if self.scenario is None:
             raise ValidationError("sale probability is only defined for scenario-built games")
         return self.scenario.sale_probability
-
-
-def _mk_players(seller: str, recommenders: Iterable[str]) -> tuple[Player, ...]:
-    return (Player(seller, SELLER),) + tuple(Player(r, RECOMMENDER) for r in recommenders)
 
 
 def _default_ids(n: int) -> list[str]:
@@ -225,8 +205,7 @@ def build_linear(
     recommenders: Iterable[str] | None = None,
 ) -> Game:
     """Linear scenario: each recommender adds q_i to the selling probability."""
-    p = as_fraction(p, "p")
-    delta = as_fraction(delta, "delta")
+    p, delta = _margin(p, delta)
     if isinstance(qs, Mapping):
         q_map = {r: as_fraction(v, f"q[{r}]") for r, v in qs.items()}
         rec_ids = list(q_map)
@@ -236,17 +215,12 @@ def build_linear(
         if len(rec_ids) != len(q_list):
             raise ValidationError("length of qs must match number of recommenders")
         q_map = dict(zip(rec_ids, q_list))
-    _check_probability(p, "p")
-    if delta < 0:
-        raise ValidationError(f"delta must be >= 0, got {brief_str(delta)}")
     for r, q in q_map.items():
         if q < 0:
             raise ValidationError(f"q[{r}] must be >= 0, got {brief_str(q)}")
-    if p + sum(q_map.values(), Fraction(0)) > 1:
+    sale = p + sum(q_map.values(), Fraction(0))
+    if sale > 1:
         raise ValidationError("p + sum(q_i) exceeds 1 (probability overflow)")
-
-    players = _mk_players(seller, rec_ids)
-    meta = ScenarioMeta(p, delta, p + sum(q_map.values(), Fraction(0)))
 
     def fill_table(ids: tuple[str, ...]) -> tuple[int, list[int]]:
         # the seller's bit carries p*delta, each recommender's bit q_i*delta
@@ -256,7 +230,7 @@ def build_linear(
         sums = subset_sums(_numerator(t, den) for t in terms)
         return den, [x if m & sbit else 0 for m, x in enumerate(sums)]
 
-    return Game(players, fill_table, meta)
+    return Game(seller, rec_ids, fill_table, ScenarioMeta(delta, sale))
 
 
 def build_threshold(
@@ -270,22 +244,18 @@ def build_threshold(
     recommenders: Iterable[str] | None = None,
 ) -> Game:
     """Threshold scenario: probability rises to p+q once >= k recommenders join."""
-    p = as_fraction(p, "p")
-    delta = as_fraction(delta, "delta")
+    p, delta = _margin(p, delta)
     q = as_fraction(q, "q")
-    _check_probability(p, "p")
-    if delta < 0:
-        raise ValidationError(f"delta must be >= 0, got {brief_str(delta)}")
     if not (1 <= k <= n):
         raise ValidationError(f"threshold k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    check_size(n + 1, "players")  # before n default ids are built
     if q < 0 or p + q > 1:
         raise ValidationError(f"q must lie in [0, 1-p], got q={brief_str(q)} with p={brief_str(p)}")
     rec_ids = list(recommenders) if recommenders is not None else _default_ids(n)
     if len(rec_ids) != n:
         raise ValidationError("number of recommender ids must equal n")
 
-    players = _mk_players(seller, rec_ids)
-    meta = ScenarioMeta(p, delta, p + q)  # the grand coalition holds n >= k recommenders
+    meta = ScenarioMeta(delta, p + q)  # the grand coalition holds n >= k recommenders
 
     def fill_table(ids: tuple[str, ...]) -> tuple[int, list[int]]:
         low, high = p * delta, (p + q) * delta
@@ -298,7 +268,7 @@ def build_threshold(
             for m, c in enumerate(popcounts(len(ids)))
         ]
 
-    return Game(players, fill_table, meta)
+    return Game(seller, rec_ids, fill_table, meta)
 
 
 def build_general(
@@ -314,11 +284,7 @@ def build_general(
     Keys are coalitions containing the seller; missing seller-containing
     coalitions default to uplift 0.  Values must lie in [0, 1-p].
     """
-    p = as_fraction(p, "p")
-    delta = as_fraction(delta, "delta")
-    _check_probability(p, "p")
-    if delta < 0:
-        raise ValidationError(f"delta must be >= 0, got {brief_str(delta)}")
+    p, delta = _margin(p, delta)
     rec_ids = list(recommenders)
     valid = frozenset(rec_ids) | {seller}
 
@@ -336,36 +302,33 @@ def build_general(
             raise ValidationError("uplift of the seller alone must be 0")
         table[s] = v
 
-    players = _mk_players(seller, rec_ids)
-    meta = ScenarioMeta(p, delta, p + table.get(valid, Fraction(0)))  # valid is N
+    meta = ScenarioMeta(delta, p + table.get(valid, Fraction(0)))  # valid is N
 
     def fill_table(ids: tuple[str, ...]) -> tuple[int, list[int]]:
         worths = {s: (p + v) * delta for s, v in table.items()}
         return scatter_table(ids, worths, p * delta, seller)
 
-    return Game(players, fill_table, meta)
+    return Game(seller, rec_ids, fill_table, meta)
 
 
 def from_table(
-    players: Iterable[str] | Iterable[Player],
+    players: Iterable[str],
     worths: Mapping[Iterable[str] | Coalition, Rational],
     *,
     seller: str | None = None,
 ) -> Game:
     """Game from an explicit worth table (sparse; missing coalitions are 0).
 
-    When plain id strings are given the first id is the seller.  The table
-    must respect v(empty)=0, v >= 0 and v(S)=0 whenever the seller is absent.
+    The first id is the seller unless `seller` names one.  The table must
+    respect v(empty)=0, v >= 0 and v(S)=0 whenever the seller is absent.
     """
     plist = list(players)
-    if plist and isinstance(plist[0], Player):
-        ps = tuple(plist)
-    else:
-        if seller is None:
-            seller = plist[0]
-        ps = _mk_players(seller, [x for x in plist if x != seller])
-    seller_id = next(p.id for p in ps if p.kind == SELLER)
-    ids = frozenset(p.id for p in ps)
+    if seller is None:
+        if not plist:
+            raise ValidationError("a game needs at least one player, the seller")
+        seller = plist[0]
+    recs = [x for x in plist if x != seller]
+    ids = frozenset(recs) | {seller}
 
     table: dict[Coalition, Fraction] = {}
     for key, raw in worths.items():
@@ -377,11 +340,11 @@ def from_table(
             raise ValidationError(f"worth must be nonnegative, got {brief_str(v)} for {sorted(s)}")
         if not s and v != 0:
             raise ValidationError("the empty coalition must have worth 0")
-        if seller_id not in s and v != 0:
+        if seller not in s and v != 0:
             raise ValidationError(f"coalition {sorted(s)} lacks the seller, worth must be 0")
         table[s] = v
 
-    return Game(ps, lambda ids: scatter_table(ids, table), None)
+    return Game(seller, recs, lambda ids: scatter_table(ids, table), None)
 
 
 def add_games(a: Game, b: Game) -> Game:
@@ -395,7 +358,7 @@ def add_games(a: Game, b: Game) -> Game:
         fa, fb = den // ta.den, den // tb.den
         return den, [x * fa + y * fb for x, y in zip(ta.nums, tb.nums)]
 
-    return Game(a.players, fill_table, None)
+    return Game(a.seller, a.recommenders, fill_table, None)
 
 
 def is_feasible(game: Game, payoff: Mapping[str, Fraction]) -> bool:
@@ -431,6 +394,11 @@ def scatter_table(
     return den, nums
 
 
-def _check_probability(p: Fraction, what: str) -> None:
+def _margin(p: Rational, delta: Rational) -> tuple[Fraction, Fraction]:
+    """A scenario's base probability p in [0, 1] and margin delta >= 0, exact."""
+    p, delta = as_fraction(p, "p"), as_fraction(delta, "delta")
     if not (0 <= p <= 1):
-        raise ValidationError(f"{what} must lie in [0, 1], got {brief_str(p)}")
+        raise ValidationError(f"p must lie in [0, 1], got {brief_str(p)}")
+    if delta < 0:
+        raise ValidationError(f"delta must be >= 0, got {brief_str(delta)}")
+    return p, delta

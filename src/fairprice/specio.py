@@ -20,7 +20,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from .errors import ResourceCapError, ValidationError
 from .fair_division import ArgumentGame
@@ -128,10 +128,6 @@ def load_payoff_vector(text: str, where: str = "payoff vector") -> dict[str, Fra
     return {k: as_fraction(v, f"{where}[{k}]") for k, v in doc.items()}
 
 
-def coalition_key(ids: Iterable[str]) -> str:
-    return ",".join(sorted(ids))
-
-
 # ---------------------------------------------------------------------------
 # Result rendering
 # ---------------------------------------------------------------------------
@@ -166,22 +162,6 @@ def results_to_csv(rows: list[dict], summary: list[tuple[str, str, str]] = ()) -
     return buf.getvalue()
 
 
-def read_results_csv(text: str) -> list[dict]:
-    """Parse a results CSV produced by `results_to_csv`."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != RESULTS_HEADER:
-        raise ValidationError(f"unexpected CSV header: {header}")
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValidationError(f"malformed CSV row: {row}")
-        out.append({"id": row[0], "method": row[1], "value": row[2]})
-    return out
-
-
 def curves_to_csv(curves: list[RewardCurve]) -> str:
     """Long-format curve CSV with the fixed header; empty stderr when exact."""
     buf = io.StringIO()
@@ -193,34 +173,3 @@ def curves_to_csv(curves: list[RewardCurve]) -> str:
                 [step, policy, decimal_str(value), "" if err is None else decimal_str(err)]
             )
     return buf.getvalue()
-
-
-def read_curve_csv(text: str) -> list[RewardCurve]:
-    """Parse a curve CSV produced by `curves_to_csv` (round-trip reader)."""
-    from .trust import RewardCurve
-
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != CSV_HEADER:
-        raise ValidationError(f"unexpected CSV header: {header}")
-    by_policy: dict[str, list[tuple[int, float, float | None]]] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ValidationError(f"malformed CSV row: {row}")
-        step, policy, value, err = row
-        by_policy.setdefault(policy, []).append(
-            (int(step), float(value), None if err == "" else float(err))
-        )
-    curves = []
-    for policy, rows in by_policy.items():
-        rows.sort()
-        if [s for s, _, _ in rows] != list(range(1, len(rows) + 1)):
-            raise ValidationError(f"non-contiguous steps for policy {policy!r}")
-        values = tuple(v for _, v, _ in rows)
-        errs = tuple(e for _, _, e in rows)
-        curves.append(
-            RewardCurve(policy, values, None if all(e is None for e in errs) else errs)
-        )
-    return curves

@@ -544,6 +544,8 @@ def every_k_reward(tp: TrustParams, k: int, n: int) -> RewardCurve:
         raise ValidationError("the every-k curve is defined for the reset process")
     # k > n never recommends within the horizon; both branches are all-zero
     if k > n or _frontier(tp.l, tp.g, 2, k - 1)[1] <= k - 2:
+        if n >= KERNEL_STATE_CAP:  # the same horizon bound as every other curve
+            raise _over_state_cap(n)
         per = tp.p0 * tp.r
         return RewardCurve(f"every-{k}", tuple(Fraction(t // k) * per for t in range(1, n + 1)))
     return expected_curve(tp, EveryK(k), n)

@@ -1,5 +1,7 @@
 """Brute-force reference implementations the tests compare the library against."""
 
+import csv
+import io
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -15,9 +17,10 @@ from fairprice.corelp import (
     certificate_refutes,
     satisfies,
 )
+from fairprice.errors import ValidationError
 from fairprice.fair_division import BargainingProblem
 from fairprice.games import Game, PayoffVector
-from fairprice.trust import TrustParams
+from fairprice.trust import RewardCurve, TrustParams
 
 
 Worth = Callable[[Iterable[str]], Fraction]
@@ -367,3 +370,52 @@ def dense_dp_oracle(tp: TrustParams, n: int) -> tuple[list[float], list]:
         v = np.maximum(v_skip, v_rec)
         curve.append(float(v[0, 0]))
     return curve, tables
+
+
+# ---------------------------------------------------------------------------
+# Parsers of the CLI's CSV outputs
+# ---------------------------------------------------------------------------
+
+def read_results_csv(text: str) -> list[dict]:
+    """Rows of a `price --format csv` document: id, method, value strings."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != ["id", "method", "value"]:
+        raise ValidationError(f"unexpected CSV header: {header}")
+    out = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ValidationError(f"malformed CSV row: {row}")
+        out.append({"id": row[0], "method": row[1], "value": row[2]})
+    return out
+
+
+def read_curve_csv(text: str) -> list[RewardCurve]:
+    """The curves of a `simulate --format csv` document, one per policy."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != ["step", "policy", "expected_cumulative_reward", "stderr"]:
+        raise ValidationError(f"unexpected CSV header: {header}")
+    by_policy: dict[str, list[tuple[int, float, float | None]]] = {}
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ValidationError(f"malformed CSV row: {row}")
+        step, policy, value, err = row
+        by_policy.setdefault(policy, []).append(
+            (int(step), float(value), None if err == "" else float(err))
+        )
+    curves = []
+    for policy, rows in by_policy.items():
+        rows.sort()
+        if [s for s, _, _ in rows] != list(range(1, len(rows) + 1)):
+            raise ValidationError(f"non-contiguous steps for policy {policy!r}")
+        values = tuple(v for _, v, _ in rows)
+        errs = tuple(e for _, _, e in rows)
+        curves.append(
+            RewardCurve(policy, values, None if all(e is None for e in errs) else errs)
+        )
+    return curves

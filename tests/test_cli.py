@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from fairprice.cli import main
-from fairprice.specio import read_curve_csv
+from oracles import read_curve_csv, read_results_csv
 
 LINEAR_SPEC = """\
 {"players": ["s", "r1", "r2"], "scenario": "linear",
@@ -179,8 +179,6 @@ def test_price_csv_format(example1_spec, capsys):
 
 
 def test_price_csv_round_trips_through_reader(linear_spec, capsys):
-    from fairprice.specio import read_results_csv
-
     code, out = run(
         ["price", "--game", str(linear_spec), "--method", "shapley,core-nonempty",
          "--format", "csv"],
@@ -420,6 +418,21 @@ def test_simulate_over_the_kernel_state_cap(capsys):
     assert capsys.readouterr().err == (
         "error: horizon 20000 needs more than 4194304 trust states (the cap)\n"
     )
+
+
+def test_simulate_every_k_over_the_kernel_state_cap(capsys, monkeypatch):
+    # every-k:3 with reset built n exact rationals without a horizon bound
+    from fairprice import trust
+
+    monkeypatch.setattr(trust, "KERNEL_STATE_CAP", 1000)
+    assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33",
+                 "--n", "1000", "--policy", "every-k:3"]) == 3
+    assert capsys.readouterr().err == (
+        "error: horizon 1000 needs more than 1000 trust states (the cap)\n"
+    )
+    assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33",
+                 "--n", "999", "--policy", "every-k:3", "--format", "csv"]) == 0
+    assert len(read_curve_csv(capsys.readouterr().out)[0].values) == 999
 
 
 FIG2_MANY_DIGITS = ["simulate", "--p0", "0.5", "--l", "1e-5000", "--g", "1e4000"]

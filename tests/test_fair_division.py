@@ -194,6 +194,12 @@ def test_nash_infeasible_disagreement_rejected():
         fp.BargainingProblem(F(1), {"s": F(2), "r": F(0)})
 
 
+def test_nash_empty_problem_rejected():
+    # nash_bargaining divided by the player count, 0, before
+    with pytest.raises(ValidationError, match="at least one player"):
+        fp.BargainingProblem(F(1), {})
+
+
 def test_nash_closed_form_maximizes_product():
     bp = fp.BargainingProblem(F(10), {"s": F(4), "r1": F(0), "r2": F(0)})
     exact = fp.nash_bargaining(bp)

@@ -169,6 +169,40 @@ def test_from_table_validation():
         from_table(["s", "r1"], {(): 1})
 
 
+def test_from_table_players():
+    g = from_table(["r1", "s", "r2"], {("s", "r1"): 1}, seller="s")
+    assert g.players == ("s", "r1", "r2")
+    assert g.seller == "s" and g.recommenders == ("r1", "r2")
+    # a seller missing from the list is added
+    g = from_table(["r1"], {("s", "r1"): 2}, seller="s")
+    assert g.players == ("s", "r1")
+    assert g.worth({"s", "r1"}) == 2
+    assert from_table([], {}, seller="s").players == ("s",)
+    with pytest.raises(ValidationError, match="at least one player"):
+        from_table([], {})  # an IndexError before
+    with pytest.raises(ValidationError, match="unique"):
+        from_table(["s", "r1", "r1"], {})
+    with pytest.raises(ValidationError, match="unique"):
+        build_linear(0, 1, [0, 0], recommenders=["r1", "r1"])
+    with pytest.raises(ValidationError, match="unique"):
+        build_linear(0, 1, [0], seller="r1", recommenders=["r1"])
+
+
+def test_threshold_checks_the_cap_before_building_ids(monkeypatch):
+    import fairprice.games as games
+
+    def no_ids(n):
+        raise AssertionError("default ids built before the cap check")
+
+    monkeypatch.delenv("FAIRPRICE_MAX_PLAYERS", raising=False)
+    monkeypatch.setattr(games, "_default_ids", no_ids)
+    with pytest.raises(ResourceCapError) as err:
+        build_threshold(0, 1, 17, 1, 0)
+    assert str(err.value) == (
+        "18 players exceeds the cap of 16 (override with FAIRPRICE_MAX_PLAYERS)"
+    )
+
+
 def test_add_games_pointwise():
     a = from_table(["s", "r1"], {("s",): 1, ("s", "r1"): 3})
     b = from_table(["s", "r1"], {("s",): 2, ("s", "r1"): 1})

@@ -4,15 +4,14 @@ import pytest
 
 from fairprice import ArgumentGame, Game, ValidationError
 from fairprice.specio import (
-    coalition_key,
     curves_to_csv,
     load_argument_game,
     load_game,
     load_payoff_vector,
     load_spec,
-    read_curve_csv,
 )
 from fairprice.trust import RewardCurve
+from oracles import read_curve_csv, read_results_csv
 
 
 def test_load_linear_exact_decimals():
@@ -85,10 +84,6 @@ def test_load_payoff_vector():
         load_payoff_vector("[]")
 
 
-def test_coalition_key_sorted():
-    assert coalition_key(["r2", "r1"]) == "r1,r2"
-
-
 def test_curve_csv_round_trip():
     curves = [
         RewardCurve("exact", (0.5, 1.25, 1.75)),
@@ -107,7 +102,7 @@ def test_curve_csv_rejects_bad_header():
 
 
 def test_results_csv_round_trip():
-    from fairprice.specio import read_results_csv, results_to_csv
+    from fairprice.specio import results_to_csv
 
     rows = [{"id": "r1", "method": "shapley", "value_decimal": 0.1}]
     text = results_to_csv(rows, summary=[("core-check", "core-check", "1")])

@@ -483,6 +483,16 @@ def test_every_k_requires_reset(fig2_no_reset):
         fp.every_k_reward(fig2_no_reset, 3, 10)
 
 
+def test_every_k_exact_branch_respects_the_state_cap(fig2_recovery, monkeypatch):
+    # every-3 at Figure 2 takes the exact floor(t/k) branch, which never
+    # builds a kernel; it refuses the same horizons as the other curves
+    monkeypatch.setattr(trust, "KERNEL_STATE_CAP", 50)
+    assert len(fp.every_k_reward(fig2_recovery, 3, 49)) == 49
+    for k in (3, 60):  # k > n recommends never, still refused
+        with pytest.raises(ResourceCapError, match="horizon 50 needs more than 50 trust states"):
+            fp.every_k_reward(fig2_recovery, k, 50)
+
+
 # ---------------------------------------------------------------------------
 # Dynamic program
 # ---------------------------------------------------------------------------
