@@ -4,14 +4,15 @@ The Core system of a game is
     sum over all players of x_i  =  v(N)
     sum over i in S of x_i      >= v(S)   for every proper coalition S.
 
-Feasibility is decided by a phase-1 simplex over Fractions with Bland's
-rule, so the verdict is exact: a feasible point or a Farkas-style
-infeasibility certificate (nonnegative multipliers for the inequalities,
-free ones for the equalities, combining the system into 0 >= positive).
-Pivots do Fraction arithmetic on the pivot row's nonzero columns only.
-Constraint counts are exponential in the player count.  Core membership and
-the separation scan between row-generation rounds are integer passes over
-the game's worth table; the simplex sees only the rows activated so far.
+Feasibility is decided by an exact phase-1 simplex with Bland's rule, so
+the verdict is exact: a feasible point or a Farkas-style infeasibility
+certificate (nonnegative multipliers for the inequalities, free ones for
+the equalities, combining the system into 0 >= positive).  The tableau is
+fraction-free: each row is a list of ints over one positive denominator,
+and Fractions appear only in the result.  Constraint counts are
+exponential in the player count.  Core membership and the separation scan
+between row-generation rounds are integer passes over the game's worth
+table; the simplex sees only the rows activated so far.
 """
 
 from __future__ import annotations
@@ -122,11 +123,12 @@ def lp_feasible(sys: LinearSystem) -> FeasibilityResult:
 
     Free variables are split into nonnegative pairs, inequalities get
     surplus variables, and a phase-1 simplex (Bland's rule) minimizes the
-    artificial total.  Its pivots and initial reduced costs do arithmetic on
-    nonzero entries only, so each entry, choice and result is the dense
-    tableau's.  Zero optimum yields a point, positive optimum yields Farkas
-    multipliers read off the optimal dual values; both are verified exactly
-    before returning.
+    artificial total.  Each tableau row, the reduced costs included, is a
+    list of ints over one positive row denominator, gcd-reduced after every
+    update; ratios compare by cross-multiplying.  So each value, choice and
+    result is the Fraction tableau's.  Zero optimum yields a point, positive
+    optimum yields Farkas multipliers read off the optimal dual values; both
+    are verified exactly before returning.
     """
     nvar = len(sys.variables)
     var_index = {v: j for j, v in enumerate(sys.variables)}
@@ -137,77 +139,88 @@ def lp_feasible(sys: LinearSystem) -> FeasibilityResult:
         return FeasibilityResult(True, {v: Fraction(0) for v in sys.variables}, None)
 
     # Columns: u_0..  (x+), w_0..  (x-), s_0.. (surplus, inequalities only),
-    # then one artificial per row.
+    # then one artificial per row.  Row i stands for tab[i] / den[i].
     n_s = len(sys.inequalities)
     n_cols = 2 * nvar + n_s + m
     art0 = 2 * nvar + n_s
 
-    tableau: list[list[Fraction]] = []
+    tab: list[list[int]] = []
+    den: list[int] = []
     flips: list[int] = []
     for ri, con in enumerate(rows):
-        row = [Fraction(0)] * (n_cols + 1)
+        d = math.lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs.values()))
+        row = [0] * (n_cols + 1)
         for v, c in con.coeffs.items():
             j = var_index[v]
-            row[j] = c
-            row[nvar + j] = -c
+            row[j] = c.numerator * (d // c.denominator)
+            row[nvar + j] = -row[j]
         if ri >= n_eq:
-            row[2 * nvar + (ri - n_eq)] = Fraction(-1)  # lhs - s = rhs
-        row[-1] = con.rhs
-        if row[-1] < 0:
-            row = [-x for x in row]
-            flips.append(-1)
-        else:
-            flips.append(1)
-        row[art0 + ri] = Fraction(1)
-        tableau.append(row)
+            row[2 * nvar + (ri - n_eq)] = -d  # lhs - s = rhs
+        row[-1] = con.rhs.numerator * (d // con.rhs.denominator)
+        flips.append(-1 if row[-1] < 0 else 1)
+        row = [x * flips[-1] for x in row]
+        row[art0 + ri] = d
+        tab.append(row)
+        den.append(d)
 
     basis = [art0 + i for i in range(m)]
 
     # Phase-1 objective: minimize sum of artificials.  Reduced-cost row for
-    # the current (all-artificial) basis: z_j = c_j - sum of column j over rows.
-    zrow = [Fraction(0)] * art0 + [Fraction(1)] * m + [Fraction(0)]
-    for row in tableau:
+    # the current (all-artificial) basis: z_j = c_j - sum of column j over
+    # rows; it is row m of the tableau and sits in no ratio test.
+    dz = math.lcm(*den)
+    zrow = [0] * art0 + [dz] * m + [0]
+    for row, d in zip(tab, den):
+        f = dz // d
         for j, x in enumerate(row):
             if x:
-                zrow[j] -= x
+                zrow[j] -= x * f
+    tab.append(zrow)
+    den.append(dz)
 
     def pivot(pr: int, pc: int) -> None:
-        prow = tableau[pr]
-        piv = prow[pc]
-        cols = [j for j, x in enumerate(prow) if x]  # a - f*0 == a elsewhere
-        for j in cols:
-            prow[j] /= piv
-        for row in tableau + [zrow]:
+        g = math.gcd(*tab[pr])
+        prow = [x // g for x in tab[pr]]
+        a = prow[pc]  # positive (the ratio test chose it); prow / a has 1 at pc
+        tab[pr], den[pr] = prow, a
+        cols = [j for j, x in enumerate(prow) if x]
+        for i, row in enumerate(tab):
             f = row[pc]
-            if f and row is not prow:
+            if f and i != pr:  # row - f * prow / a, over den * s with s = a / gcd(a, f)
+                g = math.gcd(a, f)
+                s, f = a // g, f // g
+                if s > 1:
+                    row = [x * s for x in row]
                 for j in cols:
                     row[j] -= f * prow[j]
+                d = den[i] * s
+                g = math.gcd(d, *row)
+                tab[i], den[i] = ([x // g for x in row], d // g) if g > 1 else (row, d)
         basis[pr] = pc
 
     while True:
+        zrow = tab[m]
         enter = next((j for j in range(n_cols) if zrow[j] < 0), None)  # Bland
         if enter is None:
             break
-        leave = best = None
+        leave = None
         for i in range(m):
-            a = tableau[i][enter]
+            a = tab[i][enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                # ratios b/a compare by cross-multiplying; row denominators cancel
+                c = -1 if leave is None else tab[i][-1] * tab[leave][enter] - tab[leave][-1] * a
+                if c < 0 or (c == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise AssertionError("phase-1 objective is bounded below; no ratio row found")
         pivot(leave, enter)
 
-    objective = -zrow[-1]
-
-    if objective == 0:
+    if zrow[-1] == 0:
         point = {v: Fraction(0) for v in sys.variables}
         uw = [Fraction(0)] * (2 * nvar)
         for i, b in enumerate(basis):
             if b < 2 * nvar:
-                uw[b] = tableau[i][-1]
+                uw[b] = Fraction(tab[i][-1], den[i])
         for v, j in var_index.items():
             point[v] = uw[j] - uw[nvar + j]
         if not satisfies(sys, point):
@@ -216,7 +229,7 @@ def lp_feasible(sys: LinearSystem) -> FeasibilityResult:
 
     # Dual values: reduced cost of artificial column k is 1 - y_k, and the
     # original-row multiplier undoes the sign flip applied to the row.
-    mult = [flips[k] * (Fraction(1) - zrow[art0 + k]) for k in range(m)]
+    mult = [flips[k] * (1 - Fraction(zrow[art0 + k], den[m])) for k in range(m)]
     cert = FarkasCertificate(tuple(mult[:n_eq]), tuple(mult[n_eq:]))
     if not certificate_refutes(sys, cert):
         raise AssertionError("exact simplex produced an invalid Farkas certificate")
@@ -231,13 +244,14 @@ def core_system(game: Game) -> LinearSystem:
     """The Core as a linear system over one variable per player."""
     t = game.table()
     full = len(t.nums) - 1
-    ineqs = [_row(t, m) for m in lex_masks(len(t.ids)) if 0 < m < full]
-    return LinearSystem.create(t.ids, [_row(t, full)], ineqs)
+    ineqs = tuple(_row(t, m) for m in lex_masks(len(t.ids)) if 0 < m < full)
+    return LinearSystem(t.ids, (_row(t, full),), ineqs)
 
 
-def _row(t: WorthTable, mask: int) -> tuple[dict[str, Fraction], Fraction]:
-    """Coefficients and right-hand side of the Core constraint of one coalition."""
-    return {i: Fraction(1) for i in t.members(mask)}, Fraction(t.nums[mask], t.den)
+def _row(t: WorthTable, mask: int) -> LinearConstraint:
+    """The Core constraint of one coalition."""
+    coeffs = {i: Fraction(1) for i in t.members(mask)}
+    return LinearConstraint(coeffs, Fraction(t.nums[mask], t.den))
 
 
 def _excess(t: WorthTable, x: Mapping[str, Fraction]) -> list[int]:
@@ -290,12 +304,12 @@ def core_is_nonempty(game: Game) -> CoreExistence:
     inactive rows.
     """
     t = game.table()
-    eq = _row(t, len(t.nums) - 1)
+    eq = (_row(t, len(t.nums) - 1),)
 
     active = [1 << j for j in range(len(t.ids))]  # the singletons
+    rows = [_row(t, m) for m in active]
     while True:
-        sys_ = LinearSystem.create(t.ids, [eq], [_row(t, m) for m in active])
-        res = lp_feasible(sys_)
+        res = lp_feasible(LinearSystem(t.ids, eq, tuple(rows)))
         if not res.feasible:
             cert = _full_system_certificate(t, active, res.certificate)
             return CoreExistence(False, None, cert)
@@ -306,6 +320,7 @@ def core_is_nonempty(game: Game) -> CoreExistence:
                 raise AssertionError("LP point failed the exact Core re-check")
             return CoreExistence(True, res.point, None)
         active.append(worst)  # always a new row, so at most 2^n rounds
+        rows.append(_row(t, worst))
 
 
 def _worst_violated_coalition(t: WorthTable, point: Mapping[str, Fraction]) -> int | None:

@@ -207,11 +207,14 @@ def build_linear(
     """Linear scenario: each recommender adds q_i to the selling probability."""
     p, delta = _margin(p, delta)
     if isinstance(qs, Mapping):
+        check_size(len(qs) + 1, "players")
         q_map = {r: as_fraction(v, f"q[{r}]") for r, v in qs.items()}
         rec_ids = list(q_map)
     else:
+        qs = list(qs)
+        rec_ids = list(recommenders) if recommenders is not None else _default_ids(len(qs))
+        check_size(len(rec_ids) + 1, "players")  # before any q is converted
         q_list = [as_fraction(v, "q") for v in qs]
-        rec_ids = list(recommenders) if recommenders is not None else _default_ids(len(q_list))
         if len(rec_ids) != len(q_list):
             raise ValidationError("length of qs must match number of recommenders")
         q_map = dict(zip(rec_ids, q_list))
@@ -286,6 +289,7 @@ def build_general(
     """
     p, delta = _margin(p, delta)
     rec_ids = list(recommenders)
+    check_size(len(rec_ids) + 1, "players")  # before any uplift is converted
     valid = frozenset(rec_ids) | {seller}
 
     table: dict[Coalition, Fraction] = {}

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import ResourceCapError, ValidationError
 from .fair_division import ArgumentGame
-from .games import Game, build_general, build_linear, build_threshold
+from .games import Game, build_general, build_linear, build_threshold, check_size
 from .rational import as_fraction, brief_str, decimal_str, frac_str
 
 if TYPE_CHECKING:
@@ -72,6 +72,7 @@ def load_game(src: str | dict, where: str = "game spec") -> Game:
     players = _field(doc, "players", where)
     if not isinstance(players, list) or not players or not all(isinstance(p, str) for p in players):
         raise ValidationError(f"{where}: 'players' must be a non-empty array of id strings")
+    check_size(len(players), "players")  # before the uplift keys are read
     seller, recommenders = players[0], players[1:]
     scenario = _field(doc, "scenario", where)
     p = _field(doc, "p", where)

@@ -405,21 +405,29 @@ class _Kernel:
         return self.depth_end[a + b] - b - 1
 
 
-@lru_cache(maxsize=8)
-def _kernel(tp: TrustParams, n: int) -> _Kernel:
+def _layout(tp: TrustParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clamp frontier, and the kernel's state count and end per depth
+    0..n+1, without building it; ResourceCapError past KERNEL_STATE_CAP states."""
     if n >= KERNEL_STATE_CAP:  # every depth holds at least one state
         raise _over_state_cap(n)
     depths = np.arange(n + 2)
     frontier = _frontier(tp.l, tp.g, n + 2, n)
-    collapsed = tp.g == 1
-    layout = np.zeros_like(frontier) if collapsed else frontier
+    layout = np.zeros_like(frontier) if tp.g == 1 else frontier
     # depth d holds fails a = d, d-1, ... down to the least a with
     # a + layout[a] >= d (strictly increasing in a)
     counts = depths - np.searchsorted(depths + layout, depths) + 1
     ends = np.cumsum(counts)
-    total = int(ends[n])
-    if total > KERNEL_STATE_CAP:
+    if ends[n] > KERNEL_STATE_CAP:
         raise _over_state_cap(n)
+    return frontier, counts, ends
+
+
+@lru_cache(maxsize=8)
+def _kernel(tp: TrustParams, n: int) -> _Kernel:
+    frontier, counts, ends = _layout(tp, n)
+    collapsed = tp.g == 1
+    depths = np.arange(n + 2)
+    total = int(ends[n])
     state = np.arange(total)
     depth = np.repeat(depths, counts)[:total]
     boosts = ends[depth] - state - 1
@@ -544,8 +552,7 @@ def every_k_reward(tp: TrustParams, k: int, n: int) -> RewardCurve:
         raise ValidationError("the every-k curve is defined for the reset process")
     # k > n never recommends within the horizon; both branches are all-zero
     if k > n or _frontier(tp.l, tp.g, 2, k - 1)[1] <= k - 2:
-        if n >= KERNEL_STATE_CAP:  # the same horizon bound as every other curve
-            raise _over_state_cap(n)
+        _layout(tp, n)  # the same horizon bound as every other curve
         per = tp.p0 * tp.r
         return RewardCurve(f"every-{k}", tuple(Fraction(t // k) * per for t in range(1, n + 1)))
     return expected_curve(tp, EveryK(k), n)

@@ -420,19 +420,31 @@ def test_simulate_over_the_kernel_state_cap(capsys):
     )
 
 
-def test_simulate_every_k_over_the_kernel_state_cap(capsys, monkeypatch):
+def test_simulate_every_k_over_the_kernel_state_cap(capsys, monkeypatch, fig2_recovery):
     # every-k:3 with reset built n exact rationals without a horizon bound
     from fairprice import trust
 
-    monkeypatch.setattr(trust, "KERNEL_STATE_CAP", 1000)
+    cap = len(trust._kernel(fig2_recovery, 99).p)
+    monkeypatch.setattr(trust, "KERNEL_STATE_CAP", cap)
+    trust._kernel.cache_clear()  # rebuild under the lowered cap
     assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33",
-                 "--n", "1000", "--policy", "every-k:3"]) == 3
+                 "--n", "100", "--policy", "every-k:3"]) == 3
     assert capsys.readouterr().err == (
-        "error: horizon 1000 needs more than 1000 trust states (the cap)\n"
+        f"error: horizon 100 needs more than {cap} trust states (the cap)\n"
     )
     assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33",
-                 "--n", "999", "--policy", "every-k:3", "--format", "csv"]) == 0
-    assert len(read_curve_csv(capsys.readouterr().out)[0].values) == 999
+                 "--n", "99", "--policy", "every-k:3", "--format", "csv"]) == 0
+    assert len(read_curve_csv(capsys.readouterr().out)[0].values) == 99
+
+
+@pytest.mark.parametrize("policy", ["all", "every-k:3"])
+def test_simulate_every_k_shares_the_horizon_bound(capsys, policy):
+    # every-k:3 takes the exact floor(t/k) branch at Figure 2; it ran for
+    # seconds at n = 10^6, where every kernel curve is refused at once
+    code, std = _timed(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33", "--r", "1",
+                        "--n", "1000000", "--policy", policy], capsys, seconds=2)
+    assert code == 3
+    assert std.err == "error: horizon 1000000 needs more than 4194304 trust states (the cap)\n"
 
 
 FIG2_MANY_DIGITS = ["simulate", "--p0", "0.5", "--l", "1e-5000", "--g", "1e4000"]

@@ -2,6 +2,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,25 +93,35 @@ def time_limit(seconds: float):
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+big_fractions = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**12))
 
 
 @st.composite
-def linear_systems(draw):
+def linear_systems(draw, big=False):
     """Systems over up to four variables, some in no row at all (free), with
     empty and all-zero rows, negative right-hand sides (flipped rows) and,
     half the time, right-hand sides planted around a point, so that feasible
-    and degenerate systems come up as well as infeasible ones."""
+    and degenerate systems come up as well as infeasible ones.
+
+    With `big`, numerators and denominators reach 10^12: each value is either
+    drawn at that size or is a small fraction times one shared big factor,
+    so that large common factors and tied ratios both come up."""
+    values = small_fractions
+    slack = st.fractions(min_value=0, max_value=2, max_denominator=2)
+    if big:
+        scale = draw(big_fractions.filter(bool))
+        values = st.one_of(big_fractions, small_fractions.map(lambda x: x * scale))
+        slack = values.map(abs)
     names = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
-    coeffs = st.dictionaries(st.sampled_from(names), small_fractions)
-    eqs = draw(st.lists(st.tuples(coeffs, small_fractions), max_size=3))
-    ineqs = draw(st.lists(st.tuples(coeffs, small_fractions), max_size=7))
+    coeffs = st.dictionaries(st.sampled_from(names), values)
+    eqs = draw(st.lists(st.tuples(coeffs, values), max_size=3))
+    ineqs = draw(st.lists(st.tuples(coeffs, values), max_size=7))
     if draw(st.booleans()):
-        point = {v: draw(small_fractions) for v in names}
+        point = {v: draw(values) for v in names}
 
         def lhs(c):
             return sum((a * point[v] for v, a in c.items()), F(0))
 
-        slack = st.fractions(min_value=0, max_value=2, max_denominator=2)
         eqs = [(c, lhs(c)) for c, _ in eqs]
         ineqs = [(c, lhs(c) - draw(slack)) for c, _ in ineqs]
     return LinearSystem.create(names, eqs, ineqs)
@@ -119,6 +130,15 @@ def linear_systems(draw):
 @given(sys_=linear_systems())
 def test_lp_matches_dense_simplex_oracle(sys_):
     # equal, not only valid: the same verdict, point and certificate
+    with time_limit(2):
+        got = fp.lp_feasible(sys_)
+    assert got == dense_simplex_oracle(sys_)
+
+
+@given(sys_=linear_systems(big=True))
+def test_lp_matches_dense_simplex_oracle_on_big_numbers(sys_):
+    # gcd reduction and cross-multiplied ratio ties are where an integer
+    # tableau would part from the Fraction one
     with time_limit(2):
         got = fp.lp_feasible(sys_)
     assert got == dense_simplex_oracle(sys_)
@@ -135,6 +155,30 @@ def test_core_matches_dense_simplex_oracle(monkeypatch):
         sparse = [fp.core_is_nonempty(g) for g in games]
     monkeypatch.setattr(corelp, "lp_feasible", dense_simplex_oracle)
     assert [fp.core_is_nonempty(g) for g in games] == sparse
+
+
+def test_core_matches_dense_simplex_oracle_at_benchmark_size(monkeypatch):
+    # shaped like the price-large specs: 13-player linear and threshold
+    # (k = 5) games with a Core point, and a 12-player general game whose
+    # Core is empty (v(N) = v({s}) while some small coalitions gain)
+    rng = random.Random(1313)
+    recs = [f"r{i:02d}" for i in range(1, 13)]
+    p = F(rng.randint(2, 8), 20)
+    linear = fp.build_linear(p, F(rng.randint(20, 400), 4),
+                             [(1 - p) * F(rng.randint(1, 60), 720) for _ in recs],
+                             recommenders=recs)
+    threshold = fp.build_threshold(p, F(rng.randint(20, 400), 4), 12, 5,
+                                   (1 - p) * F(rng.randint(1, 20), 20))
+    uplift = {("s", r): (1 - p) * F(rng.randint(1, 20), 20) for r in rng.sample(recs[:11], 6)}
+    for pair in rng.sample(list(combinations(recs[:11], 2)), 10):
+        uplift[("s", *pair)] = (1 - p) * F(rng.randint(1, 20), 20)
+    general = fp.build_general(p, F(rng.randint(20, 400), 4), uplift, recommenders=recs[:11])
+    games = [linear, threshold, general]
+    with time_limit(20):
+        got = [fp.core_is_nonempty(g) for g in games]
+    assert [r.nonempty for r in got] == [True, True, False]
+    monkeypatch.setattr(corelp, "lp_feasible", dense_simplex_oracle)
+    assert [fp.core_is_nonempty(g) for g in games] == got
 
 
 def test_core_system_of_table1_linear():

@@ -203,6 +203,31 @@ def test_threshold_checks_the_cap_before_building_ids(monkeypatch):
     )
 
 
+def test_cap_comes_before_any_value_is_checked(monkeypatch):
+    # the q values and uplifts are invalid too; converting 10^5 of them
+    # used to take ~0.5 s before the player cap refused the game
+    from fairprice.specio import load_game
+
+    monkeypatch.delenv("FAIRPRICE_MAX_PLAYERS", raising=False)
+    n = 10**5
+    recs = [f"r{i}" for i in range(1, n + 1)]
+    message = f"{n + 1} players exceeds the cap of 16 (override with FAIRPRICE_MAX_PLAYERS)"
+    bad = [
+        lambda: build_linear(0, 1, ["x"] * n),
+        lambda: build_linear(0, 1, [-1] * n, recommenders=recs),
+        lambda: build_linear(0, 1, dict.fromkeys(recs, "x")),
+        lambda: build_general(0, 1, {("s", r): "x" for r in recs}, recommenders=recs),
+        lambda: load_game({"players": ["s", *recs], "scenario": "linear",
+                           "p": 0, "delta": 1, "q": ["x"] * n}),
+        lambda: load_game({"players": ["s", *recs], "scenario": "general",
+                           "p": 0, "delta": 1, "f": {r: "x" for r in recs}}),
+    ]
+    for build in bad:
+        with pytest.raises(ResourceCapError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_add_games_pointwise():
     a = from_table(["s", "r1"], {("s",): 1, ("s", "r1"): 3})
     b = from_table(["s", "r1"], {("s",): 2, ("s", "r1"): 1})

@@ -485,12 +485,18 @@ def test_every_k_requires_reset(fig2_no_reset):
 
 def test_every_k_exact_branch_respects_the_state_cap(fig2_recovery, monkeypatch):
     # every-3 at Figure 2 takes the exact floor(t/k) branch, which never
-    # builds a kernel; it refuses the same horizons as the other curves
-    monkeypatch.setattr(trust, "KERNEL_STATE_CAP", 50)
+    # builds a kernel; it refuses the same horizons as the other curves,
+    # those whose kernel would pass the state cap
+    cap = len(_kernel(fig2_recovery, 49).p)
+    monkeypatch.setattr(trust, "KERNEL_STATE_CAP", cap)
+    _kernel.cache_clear()  # rebuild under the lowered cap
     assert len(fp.every_k_reward(fig2_recovery, 3, 49)) == 49
+    refusal = f"horizon 50 needs more than {cap} trust states"
     for k in (3, 60):  # k > n recommends never, still refused
-        with pytest.raises(ResourceCapError, match="horizon 50 needs more than 50 trust states"):
+        with pytest.raises(ResourceCapError, match=refusal):
             fp.every_k_reward(fig2_recovery, k, 50)
+    with pytest.raises(ResourceCapError, match=refusal):
+        expected_curve(fig2_recovery, AllPolicy(), 50)
 
 
 # ---------------------------------------------------------------------------
