@@ -13,10 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import corelp, specio, verification
 from . import fair_division as fd
-from . import specio, verification
 from .errors import FairpriceError, ResourceCapError, ValidationError
-from .games import Game
+from .games import Game, check_covers
 from .rational import decimal_str, frac_str
 
 if TYPE_CHECKING:
@@ -101,12 +101,9 @@ def _payoff_rows(method: str, payoff: dict) -> list[dict]:
             for pid, x in sorted(payoff.items())]
 
 
-def _price_rows(method: str, payment: str, payoff: dict, game: Game) -> list[dict]:
-    schedule = fd.to_prices(payoff, game, payment)
-    return [
-        {"id": rid, "method": f"{method}+{payment}", **specio.render_value(price)}
-        for rid, price in sorted(schedule.prices.items())
-    ]
+def _fracs(values: dict | None) -> dict[str, str] | None:
+    """Exact strings of a map of rationals, sorted by key."""
+    return None if values is None else {k: frac_str(v) for k, v in sorted(values.items())}
 
 
 def _core_check_vector(args, game: Game) -> dict[str, Fraction]:
@@ -116,87 +113,68 @@ def _core_check_vector(args, game: Game) -> dict[str, Fraction]:
         x = {pid: Fraction(0) for pid in game.player_ids}
         x[game.seller] = game.worth(game.grand_coalition)
         return x
-    if not os.path.exists(args.vector):  # inline JSON; Path.exists raises on overlong names
-        return specio.load_payoff_vector(args.vector, "--vector")
-    return specio.load_payoff_vector(_read_text(args.vector), "--vector")
+    # a path or inline JSON; Path.exists, unlike os.path.exists, raises on overlong names
+    text = _read_text(args.vector) if os.path.exists(args.vector) else args.vector
+    x = specio.load_payoff_vector(text, "--vector")
+    check_covers(game, x)
+    return x
 
 
 def cmd_price(args) -> int:
-    from . import corelp
-
     text = _read_text(args.game)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise ValidationError("no methods given")
+    spec = specio.load_spec(text, args.game)
+
+    # every method and the --vector are checked before any pricing work
+    if isinstance(spec, fd.ArgumentGame):
+        allowed, needs = ARGUMENT_METHODS, "a player-game spec, got an argument game"
+    else:
+        allowed, needs = GAME_METHODS, "an argument-game spec (with 'arguments')"
+    for method in methods:
+        if method not in allowed:
+            raise ValidationError(f"method {method!r} needs {needs}")
+    vector = _core_check_vector(args, spec) if "core-check" in methods else None
 
     doc: dict = {"input": args.game, "results": []}
     rows = doc["results"]
-
-    spec = specio.load_spec(text, args.game)
-    if isinstance(spec, fd.ArgumentGame):
-        for method in methods:
-            if method not in ARGUMENT_METHODS:
-                raise ValidationError(
-                    f"method {method!r} needs a player-game spec, got an argument game"
-                )
+    for method in methods:
+        if method == "anon-shapley":
+            per_arg, per_rec = fd.anonymity_proof_shapley(spec)
+            rows += _payoff_rows("anon-shapley:argument", per_arg)
+            rows += _payoff_rows("anon-shapley", per_rec)
+        elif isinstance(spec, fd.ArgumentGame):  # shapley over the arguments
+            rows += _payoff_rows("shapley", fd.shapley_arguments(spec))
+        elif method == "core-check":
+            result = corelp.core_contains(spec, vector)
+            witness = result.violating_coalition
+            doc["core_check"] = {
+                "in_core": result.in_core,
+                "feasible": result.feasible,
+                "witness": None if witness is None else sorted(witness),
+                "vector": _fracs(vector),
+            }
+        elif method == "core-nonempty":
+            result = corelp.core_is_nonempty(spec)
+            cert = result.certificate
+            doc["core_nonempty"] = {
+                "nonempty": result.nonempty,
+                "core_point": _fracs(result.core_point),
+                "certificate": None if cert is None else {
+                    "equality_multipliers": [frac_str(m) for m in cert.eq_multipliers],
+                    "inequality_multipliers": [frac_str(m) for m in cert.ineq_multipliers],
+                },
+            }
+        else:  # shapley or nash over the players
             if method == "shapley":
-                rows.extend(_payoff_rows("shapley", fd.shapley_arguments(spec)))
+                payoff = fd.shapley(spec)
             else:
-                per_arg, per_rec = fd.anonymity_proof_shapley(spec)
-                rows.extend(_payoff_rows("anon-shapley:argument", per_arg))
-                rows.extend(_payoff_rows("anon-shapley", per_rec))
-    else:
-        game = spec
-        for method in methods:
-            if method not in GAME_METHODS:
-                raise ValidationError(
-                    f"method {method!r} needs an argument-game spec (with 'arguments')"
-                )
-            if method == "shapley":
-                payoff = fd.shapley(game)
-                rows.extend(_payoff_rows("shapley", payoff))
-                if args.payment:
-                    rows.extend(_price_rows("shapley", args.payment, payoff, game))
-            elif method == "nash":
-                payoff = fd.nash_bargaining(fd.bargaining_problem(game))
-                rows.extend(_payoff_rows("nash", payoff))
-                if args.payment:
-                    rows.extend(_price_rows("nash", args.payment, payoff, game))
-            elif method == "core-check":
-                x = _core_check_vector(args, game)
-                result = corelp.core_contains(game, x)
-                doc["core_check"] = {
-                    "in_core": result.in_core,
-                    "feasible": result.feasible,
-                    "witness": (
-                        None
-                        if result.violating_coalition is None
-                        else sorted(result.violating_coalition)
-                    ),
-                    "vector": {k: frac_str(v) for k, v in sorted(x.items())},
-                }
-            elif method == "core-nonempty":
-                result = corelp.core_is_nonempty(game)
-                doc["core_nonempty"] = {
-                    "nonempty": result.nonempty,
-                    "core_point": (
-                        None
-                        if result.core_point is None
-                        else {k: frac_str(v) for k, v in sorted(result.core_point.items())}
-                    ),
-                    "certificate": (
-                        None
-                        if result.certificate is None
-                        else {
-                            "equality_multipliers": [
-                                frac_str(m) for m in result.certificate.eq_multipliers
-                            ],
-                            "inequality_multipliers": [
-                                frac_str(m) for m in result.certificate.ineq_multipliers
-                            ],
-                        }
-                    ),
-                }
+                payoff = fd.nash_bargaining(fd.bargaining_problem(spec))
+            rows += _payoff_rows(method, payoff)
+            if args.payment:
+                prices = fd.to_prices(payoff, spec, args.payment).prices
+                rows += _payoff_rows(f"{method}+{args.payment}", prices)
 
     if args.format == "json":
         payload = specio.results_to_json(doc)
@@ -216,21 +194,27 @@ def cmd_price(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _parse_policy(spec: str, tp: trust.TrustParams, n: int):
+def _policy_curve(args, tp: trust.TrustParams):
+    """The policy named by --policy and its curve: the DP's for optimal, else
+    the exact expectation (closed form for every-k with reset when it applies)."""
     from . import trust
 
-    if spec == "all":
-        return trust.AllPolicy(), None
-    if spec == "optimal":
-        curve, policy = trust.dp_optimal(tp, n)
+    if args.policy == "optimal":
+        curve, policy = trust.dp_optimal(tp, args.n)
         return policy, curve
-    if spec.startswith("every-k:"):
+    if args.policy == "all":
+        policy = trust.AllPolicy()
+    elif args.policy.startswith("every-k:"):
         try:
-            k = int(spec.split(":", 1)[1])
+            k = int(args.policy.split(":", 1)[1])
         except ValueError:
-            raise ValidationError(f"bad every-k policy {spec!r}")
-        return trust.EveryK(k), None
-    raise ValidationError(f"unknown policy {spec!r} (use all, optimal, every-k:<k>)")
+            raise ValidationError(f"bad every-k policy {args.policy!r}")
+        policy = trust.EveryK(k)
+        if tp.reset:
+            return policy, trust.every_k_reward(tp, k, args.n, prune=args.tol)
+    else:
+        raise ValidationError(f"unknown policy {args.policy!r} (use all, optimal, every-k:<k>)")
+    return policy, trust.expected_curve(tp, policy, args.n, prune=args.tol)
 
 
 def cmd_simulate(args) -> int:
@@ -244,14 +228,7 @@ def cmd_simulate(args) -> int:
     trust.check_tolerance("--tol", args.tol, zero_ok=True)
     if args.split and not args.out:
         raise ValidationError("--split requires --out <directory>")
-    policy, dp_curve = _parse_policy(args.policy, tp, args.n)
-
-    if dp_curve is not None:
-        curve = dp_curve
-    elif isinstance(policy, trust.EveryK) and tp.reset:
-        curve = trust.every_k_reward(tp, policy.k, args.n)
-    else:
-        curve = trust.expected_curve(tp, policy, args.n, prune=args.tol)
+    policy, curve = _policy_curve(args, tp)
 
     curves = [curve]
     if args.trials is not None:

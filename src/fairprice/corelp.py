@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
-from .games import Coalition, Game, WorthTable, lex_masks, subset_sums
+from .games import Coalition, Game, WorthTable, check_covers, lex_masks, subset_sums
 from .rational import Rational, as_fraction
 
 
@@ -273,8 +273,7 @@ class CoreMembership:
 def core_contains(game: Game, payoff: Mapping[str, Rational]) -> CoreMembership:
     """Exact Core membership with a violated-coalition witness on failure."""
     x = {i: as_fraction(v, f"payoff[{i}]") for i, v in payoff.items()}
-    if frozenset(x) != game.player_ids:
-        raise ValidationError("payoff vector must cover exactly the game's players")
+    check_covers(game, x)
     t = game.table()
     excess = _excess(t, x)
     feasible = excess[-1] == 0

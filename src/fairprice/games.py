@@ -118,9 +118,9 @@ class Game:
     """Immutable coalitional game: one seller, its recommenders, one worth table.
 
     `fill_table` maps the sorted player ids to (den, nums), the worth of
-    every coalition by bitmask; it runs once, when the game is built.
-    The worth is nonnegative, zero on the empty set and on every coalition
-    that excludes the seller.
+    every coalition by bitmask; it runs once, when the game is built, and
+    the game then zeroes every coalition that excludes the seller, the
+    empty one included.  The worth is nonnegative.
     """
 
     def __init__(
@@ -138,7 +138,9 @@ class Game:
         self._players = players
         self._ids = frozenset(players)
         self._bits = {pid: 1 << j for j, pid in enumerate(ids)}
-        self._table = WorthTable(ids, *fill_table(ids))
+        den, nums = fill_table(ids)
+        sbit = self._bits[seller]
+        self._table = WorthTable(ids, den, [x if m & sbit else 0 for m, x in enumerate(nums)])
         self._scenario = scenario
 
     @property
@@ -229,9 +231,7 @@ def build_linear(
         # the seller's bit carries p*delta, each recommender's bit q_i*delta
         terms = [p * delta if pid == seller else q_map[pid] * delta for pid in ids]
         den = math.lcm(*(t.denominator for t in terms))
-        sbit = 1 << ids.index(seller)
-        sums = subset_sums(_numerator(t, den) for t in terms)
-        return den, [x if m & sbit else 0 for m, x in enumerate(sums)]
+        return den, subset_sums(_numerator(t, den) for t in terms)
 
     return Game(seller, rec_ids, fill_table, ScenarioMeta(delta, sale))
 
@@ -264,12 +264,8 @@ def build_threshold(
         low, high = p * delta, (p + q) * delta
         den = math.lcm(low.denominator, high.denominator)
         low_num, high_num = _numerator(low, den), _numerator(high, den)
-        sbit = 1 << ids.index(seller)
         # a coalition with the seller holds popcount - 1 recommenders
-        return den, [
-            (high_num if c > k else low_num) if m & sbit else 0
-            for m, c in enumerate(popcounts(len(ids)))
-        ]
+        return den, [high_num if c > k else low_num for c in popcounts(len(ids))]
 
     return Game(seller, rec_ids, fill_table, meta)
 
@@ -310,7 +306,7 @@ def build_general(
 
     def fill_table(ids: tuple[str, ...]) -> tuple[int, list[int]]:
         worths = {s: (p + v) * delta for s, v in table.items()}
-        return scatter_table(ids, worths, p * delta, seller)
+        return scatter_table(ids, worths, p * delta)
 
     return Game(seller, rec_ids, fill_table, meta)
 
@@ -365,10 +361,15 @@ def add_games(a: Game, b: Game) -> Game:
     return Game(a.seller, a.recommenders, fill_table, None)
 
 
-def is_feasible(game: Game, payoff: Mapping[str, Fraction]) -> bool:
-    """Feasibility: payoffs sum exactly to the grand-coalition worth."""
+def check_covers(game: Game, payoff: Mapping[str, Rational]) -> None:
+    """Refuse a payoff vector whose ids are not exactly the game's players."""
     if frozenset(payoff) != game.player_ids:
         raise ValidationError("payoff vector must cover exactly the game's players")
+
+
+def is_feasible(game: Game, payoff: Mapping[str, Fraction]) -> bool:
+    """Feasibility: payoffs sum exactly to the grand-coalition worth."""
+    check_covers(game, payoff)
     return sum(payoff.values(), Fraction(0)) == game.worth(game.grand_coalition)
 
 
@@ -381,18 +382,12 @@ def scatter_table(
     ids: tuple[str, ...],
     worths: Mapping[Coalition, Fraction],
     default: Fraction = Fraction(0),
-    seller: str | None = None,
 ) -> tuple[int, list[int]]:
-    """(den, nums) over `ids` from a sparse table whose keys are subsets of `ids`.
-
-    Coalitions missing from `worths` are worth `default` when they hold the
-    seller and 0 otherwise.
-    """
+    """(den, nums) over `ids` from a sparse table whose keys are subsets of `ids`;
+    coalitions missing from `worths` are worth `default`."""
     den = math.lcm(default.denominator, *(v.denominator for v in worths.values()))
     bit = {pid: 1 << j for j, pid in enumerate(ids)}
-    sbit = 0 if seller is None else bit[seller]
-    base = _numerator(default, den)
-    nums = [base if m & sbit else 0 for m in range(1 << len(ids))]
+    nums = [_numerator(default, den)] * (1 << len(ids))
     for s, v in worths.items():
         nums[sum(bit[i] for i in s)] = _numerator(v, den)
     return den, nums

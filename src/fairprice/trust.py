@@ -536,7 +536,7 @@ def expected_curve(tp: TrustParams, policy: Policy, n: int, *, prune: float = 0.
     return RewardCurve(policy.name, tuple(values))
 
 
-def every_k_reward(tp: TrustParams, k: int, n: int) -> RewardCurve:
+def every_k_reward(tp: TrustParams, k: int, n: int, *, prune: float = 0.0) -> RewardCurve:
     """Expected cumulative reward of the every-k policy, per step.
 
     When one failure is fully recovered within the k-1 intervening skips
@@ -544,10 +544,11 @@ def every_k_reward(tp: TrustParams, k: int, n: int) -> RewardCurve:
     curve is exactly floor(t/k) * p0 * r, returned as exact rationals.
     Otherwise the schedule behaves like undiluted decay at rate
     l * g^(k-1) and the curve is evaluated as an exact-state expectation in
-    float64.
+    float64, `expected_curve` with the given `prune`.
     """
     if k < 1 or n < 1:
         raise ValidationError("k and n must be >= 1")
+    check_tolerance("prune", prune, zero_ok=True)
     if not tp.reset:
         raise ValidationError("the every-k curve is defined for the reset process")
     # k > n never recommends within the horizon; both branches are all-zero
@@ -555,7 +556,7 @@ def every_k_reward(tp: TrustParams, k: int, n: int) -> RewardCurve:
         _layout(tp, n)  # the same horizon bound as every other curve
         per = tp.p0 * tp.r
         return RewardCurve(f"every-{k}", tuple(Fraction(t // k) * per for t in range(1, n + 1)))
-    return expected_curve(tp, EveryK(k), n)
+    return expected_curve(tp, EveryK(k), n, prune=prune)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ from fractions import Fraction
 from . import corelp, fair_division as fd, games
 from .errors import ValidationError
 
-SUITES = ("bounds", "truthfulness", "figure2", "core-laws", "shapley-axioms")
-
 # The named experiment: n=200, r=1, p0=0.5, l=0.66, g in {1, 1.33}.
 FIGURE2 = {"n": 200, "r": "1", "p0": "0.5", "l": "0.66", "g_recovery": "1.33"}
 
@@ -323,17 +321,19 @@ def suite_shapley_axioms(seed: int = 5) -> list[CheckResult]:
     ]
 
 
+SUITES = {
+    "bounds": suite_bounds,
+    "truthfulness": suite_truthfulness,
+    "figure2": suite_figure2,
+    "core-laws": suite_core_laws,
+    "shapley-axioms": suite_shapley_axioms,
+}
+
+
 def run_suite(name: str, seed: int | None = None) -> list[CheckResult]:
-    table = {
-        "figure2": suite_figure2,
-        "bounds": suite_bounds,
-        "truthfulness": suite_truthfulness,
-        "core-laws": suite_core_laws,
-        "shapley-axioms": suite_shapley_axioms,
-    }
-    if name not in table:
+    if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    fn = table[name]
+    fn = SUITES[name]
     return fn() if seed is None else fn(seed)
 
 

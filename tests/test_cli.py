@@ -148,6 +148,39 @@ def test_price_method_mismatch(linear_spec, example1_spec, capsys):
     assert main(["price", "--game", str(example1_spec), "--method", "nash"]) == 2
 
 
+@pytest.mark.parametrize("spec, argv, err", [
+    ("linear", ["--method", "shapley,anon-shapley"],
+     "method 'anon-shapley' needs an argument-game spec (with 'arguments')"),
+    ("example1", ["--method", "anon-shapley,nash"],
+     "method 'nash' needs a player-game spec, got an argument game"),
+    ("linear", ["--method", "shapley,core-nonempty,core-check"],
+     "core-check requires --vector (JSON object or 'seller-all')"),
+    ("linear", ["--method", "shapley,core-nonempty,core-check", "--vector", "[1"],
+     "--vector: invalid JSON at line 1: Expecting ',' delimiter"),
+    ("linear", ["--method", "shapley,core-check", "--vector", '{"s": "x"}'],
+     "--vector[s]: cannot parse rational 'x'"),
+    ("linear", ["--method", "nash,core-check", "--vector", '{"s": 1, "r1": 0}'],
+     "payoff vector must cover exactly the game's players"),
+], ids=["player-spec", "argument-spec", "no-vector", "vector-json", "vector-value", "vector-ids"])
+def test_price_checks_methods_and_vector_before_any_work(
+    linear_spec, example1_spec, capsys, monkeypatch, spec, argv, err
+):
+    # a wrong-kind method or a bad --vector used to fail only after the
+    # methods before it had run (Shapley over 2^n coalitions, the Core LPs)
+    from fairprice import corelp
+    from fairprice import fair_division as fd
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("pricing started before the methods and --vector were checked")
+
+    for name in ("shapley", "nash_bargaining", "anonymity_proof_shapley"):
+        monkeypatch.setattr(fd, name, no_work)
+    monkeypatch.setattr(corelp, "core_is_nonempty", no_work)
+    path = linear_spec if spec == "linear" else example1_spec
+    assert main(["price", "--game", str(path), *argv]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_price_malformed_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"players": ["s"], "scenario": "linear"', encoding="utf-8")
@@ -296,6 +329,23 @@ def test_simulate_every_k_values(capsys):
     assert code == 0
     curves = read_curve_csv(out)
     assert curves[0].values == (0.0, 0.0, 0.5, 0.5, 0.5, 1.0)
+
+
+def test_simulate_every_k_with_reset_honours_tol(capsys):
+    # l * g < 1, so every-k:2 with reset takes the expectation, which used to
+    # drop --tol and keep every state
+    from fairprice import trust
+
+    finals = {}
+    for tol in ("0", "1e-3"):
+        code, out = run(["simulate", "--p0", "0.5", "--l", "0.1", "--g", "1.5", "--n", "60",
+                         "--policy", "every-k:2", "--tol", tol], capsys)
+        assert code == 0
+        finals[tol] = read_curve_csv(out)[0].values[-1]
+    tp = trust.TrustParams("0.5", "0.1", "1.5", 1, reset=True)
+    pruned = trust.expected_curve(tp, trust.EveryK(2), 60, prune=1e-3).values[-1]
+    assert finals["1e-3"] == pytest.approx(pruned, rel=1e-9)
+    assert finals["0"] - finals["1e-3"] > 1e-4
 
 
 def test_simulate_csv_round_trip_with_mc(tmp_path):

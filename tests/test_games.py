@@ -13,6 +13,7 @@ from fairprice import (
     from_table,
     is_feasible,
 )
+from fairprice.games import Game
 from fairprice.rational import as_fraction
 
 
@@ -259,3 +260,10 @@ def test_float_inputs_convert_base10():
         as_fraction(True)
     with pytest.raises(ValidationError):
         as_fraction("one half")
+
+
+def test_game_zeroes_coalitions_without_the_seller():
+    # a fill_table need only get the coalitions that hold the seller right
+    g = Game("s", ["r1", "r2"], lambda ids: (2, [3] * (1 << len(ids))), None)
+    for s in g.coalitions():
+        assert g.worth(s) == (F(3, 2) if "s" in s else 0)
