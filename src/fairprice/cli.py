@@ -127,14 +127,21 @@ def cmd_price(args) -> int:
         raise ValidationError("no methods given")
     spec = specio.load_spec(text, args.game)
 
-    # every method and the --vector are checked before any pricing work
-    if isinstance(spec, fd.ArgumentGame):
+    # every method, --payment and --vector are checked before any pricing work
+    arguments = isinstance(spec, fd.ArgumentGame)
+    if arguments:
         allowed, needs = ARGUMENT_METHODS, "a player-game spec, got an argument game"
     else:
         allowed, needs = GAME_METHODS, "an argument-game spec (with 'arguments')"
     for method in methods:
         if method not in allowed:
             raise ValidationError(f"method {method!r} needs {needs}")
+    if args.payment:
+        if arguments:
+            raise ValidationError(f"--payment needs {needs}")
+        fd.payment_divisor(spec, args.payment)
+    if args.vector is not None and "core-check" not in methods:
+        raise ValidationError("--vector needs core-check among the methods")
     vector = _core_check_vector(args, spec) if "core-check" in methods else None
 
     doc: dict = {"input": args.game, "results": []}
@@ -144,7 +151,7 @@ def cmd_price(args) -> int:
             per_arg, per_rec = fd.anonymity_proof_shapley(spec)
             rows += _payoff_rows("anon-shapley:argument", per_arg)
             rows += _payoff_rows("anon-shapley", per_rec)
-        elif isinstance(spec, fd.ArgumentGame):  # shapley over the arguments
+        elif arguments:  # shapley over the arguments
             rows += _payoff_rows("shapley", fd.shapley_arguments(spec))
         elif method == "core-check":
             result = corelp.core_contains(spec, vector)
@@ -249,18 +256,12 @@ def _write_curves(curves, fmt: str, out) -> None:
     if fmt == "csv":
         payload = specio.curves_to_csv(curves)
     else:
-        payload = specio.results_to_json(
-            {
-                "curves": [
-                    {
-                        "policy": c.policy,
-                        "values": [decimal_str(v) for v in c.values],
-                        "stderr": None if c.stderr is None else [decimal_str(e) for e in c.stderr],
-                    }
-                    for c in curves
-                ]
-            }
-        )
+        payload = specio.results_to_json({"curves": [
+            {"policy": c.policy,
+             "values": [decimal_str(v) for v in c.values],
+             "stderr": None if c.stderr is None else [decimal_str(e) for e in c.stderr]}
+            for c in curves
+        ]})
     _emit(payload, out)
 
 

@@ -18,23 +18,20 @@ table; the simplex sees only the rows activated so far.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .games import Coalition, Game, WorthTable, check_covers, lex_masks, subset_sums
 from .rational import Rational, as_fraction
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     coeffs: dict[str, Fraction]
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """Equalities and >=-inequalities over named variables, all rational."""
 
     variables: tuple[str, ...]
@@ -67,8 +64,7 @@ class LinearSystem:
         return LinearSystem(vs, conv(equalities), conv(inequalities))
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
+class FarkasCertificate(NamedTuple):
     """Multipliers proving infeasibility.
 
     eq_multipliers (any sign) and ineq_multipliers (>= 0) combine the
@@ -80,8 +76,7 @@ class FarkasCertificate:
     ineq_multipliers: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     point: dict[str, Fraction] | None
     certificate: FarkasCertificate | None
@@ -109,12 +104,18 @@ def certificate_refutes(sys: LinearSystem, cert: FarkasCertificate) -> bool:
 
 
 def satisfies(sys: LinearSystem, point: Mapping[str, Fraction]) -> bool:
-    """Exact check of a point against every constraint."""
-    def lhs(con: LinearConstraint) -> Fraction:
-        return sum((c * point[v] for v, c in con.coeffs.items()), Fraction(0))
+    """Exact check of a point against every constraint, in integers: the
+    point over its common denominator, each row over its own."""
+    den = math.lcm(*(x.denominator for x in point.values()))
+    num = {v: x.numerator * (den // x.denominator) for v, x in point.items()}
 
-    return all(lhs(c) == c.rhs for c in sys.equalities) and all(
-        lhs(c) >= c.rhs for c in sys.inequalities
+    def excess(con: LinearConstraint) -> int:  # lhs - rhs, times a positive factor
+        d = math.lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs.values()))
+        lhs = sum(c.numerator * (d // c.denominator) * num[v] for v, c in con.coeffs.items())
+        return lhs - con.rhs.numerator * (d // con.rhs.denominator) * den
+
+    return all(excess(c) == 0 for c in sys.equalities) and all(
+        excess(c) >= 0 for c in sys.inequalities
     )
 
 
@@ -262,8 +263,7 @@ def _excess(t: WorthTable, x: Mapping[str, Fraction]) -> list[int]:
     return [v * f - p for v, p in zip(t.nums, paid)]
 
 
-@dataclass(frozen=True)
-class CoreMembership:
+class CoreMembership(NamedTuple):
     in_core: bool
     # Lexicographically smallest coalition with v(S) > x(S), if any.
     violating_coalition: Coalition | None
@@ -284,8 +284,7 @@ def core_contains(game: Game, payoff: Mapping[str, Rational]) -> CoreMembership:
     return CoreMembership(feasible and witness is None, violated, feasible)
 
 
-@dataclass(frozen=True)
-class CoreExistence:
+class CoreExistence(NamedTuple):
     nonempty: bool
     core_point: dict[str, Fraction] | None
     # Aligned with core_system(game): one multiplier per proper coalition in
@@ -359,8 +358,7 @@ def _full_system_certificate(
 # Balanced collections of weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BalancedWeights:
+class BalancedWeights(NamedTuple):
     """Coalition weights in [0,1] summing to 1 over the coalitions of each player."""
 
     weights: Mapping[Coalition, Fraction]

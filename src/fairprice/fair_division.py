@@ -13,9 +13,8 @@ up to two declared arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .games import (
@@ -72,8 +71,7 @@ def _marginal_sums(nums: Sequence[int], weights: Sequence[int]) -> list[int]:
 # Argument games
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArgumentGame:
+class ArgumentGame(NamedTuple):
     """Worth function over purchase arguments plus per-recommender ownership.
 
     `arguments` is the full argument set; `worths` maps argument coalitions
@@ -192,8 +190,8 @@ def anonymity_proof_shapley(ag: ArgumentGame) -> tuple[dict[str, Fraction], Payo
 # Nash bargaining
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BargainingProblem:
+class BargainingProblem(NamedTuple("BargainingProblem", [("total", Fraction),
+                                                         ("disagreement", dict[str, Fraction])])):
     """Split a total among players relative to a disagreement point.
 
     The feasible set is the simplex of nonnegative payoffs summing to
@@ -201,16 +199,17 @@ class BargainingProblem:
     (here: the seller's stand-alone worth, zero for recommenders).
     """
 
-    total: Fraction
-    disagreement: dict[str, Fraction]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
-    def __post_init__(self):
-        if not self.disagreement:
+    def __new__(cls, total: Fraction, disagreement: dict[str, Fraction]):
+        if not disagreement:
             raise ValidationError("a bargaining problem needs at least one player")
-        if any(d < 0 for d in self.disagreement.values()):
+        if any(d < 0 for d in disagreement.values()):
             raise ValidationError("disagreement payoffs must be nonnegative")
-        if self.total < sum(self.disagreement.values(), Fraction(0)):
+        if total < sum(disagreement.values(), Fraction(0)):
             raise ValidationError("infeasible disagreement point: total below its sum")
+        return super().__new__(cls, total, disagreement)
 
 
 def bargaining_problem(game: Game) -> BargainingProblem:
@@ -238,10 +237,23 @@ def nash_bargaining(bp: BargainingProblem) -> PayoffVector:
 # Prices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PriceSchedule:
+class PriceSchedule(NamedTuple):
     mode: str  # PAY_PER_RECOMMENDATION or PAY_PER_SALE
     prices: dict[str, Fraction]  # recommender id -> price
+
+
+def payment_divisor(game: Game, mode: str) -> Fraction:
+    """What a payment mode divides an expected payoff by to get a price: 1
+    per recommendation, p + f(N) per sale; refuses a mode that cannot price
+    the game."""
+    if mode == PAY_PER_RECOMMENDATION:
+        return Fraction(1)
+    if mode != PAY_PER_SALE:
+        raise ValidationError(f"unknown payment mode {mode!r}")
+    prob = game.sale_probability()
+    if prob == 0:
+        raise ValidationError("pay-per-sale undefined: selling probability is 0")
+    return prob
 
 
 def to_prices(payoff: Mapping[str, Fraction], game: Game, mode: str) -> PriceSchedule:
@@ -251,18 +263,12 @@ def to_prices(payoff: Mapping[str, Fraction], game: Game, mode: str) -> PriceSch
     pays x_r / (p + f(N)) on successful ones only, so the expectation
     matches.
     """
-    if mode not in (PAY_PER_RECOMMENDATION, PAY_PER_SALE):
-        raise ValidationError(f"unknown payment mode {mode!r}")
+    divisor = payment_divisor(game, mode)
     recs = game.recommenders
     missing = [r for r in recs if r not in payoff]
     if missing:
         raise ValidationError(f"payoff vector lacks recommenders {missing}")
-    if mode == PAY_PER_RECOMMENDATION:
-        return PriceSchedule(mode, {r: Fraction(payoff[r]) for r in recs})
-    prob = game.sale_probability()
-    if prob == 0:
-        raise ValidationError("pay-per-sale undefined: selling probability is 0")
-    return PriceSchedule(mode, {r: Fraction(payoff[r]) / prob for r in recs})
+    return PriceSchedule(mode, {r: Fraction(payoff[r]) / divisor for r in recs})
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +289,7 @@ def zero_rule(game: Game) -> Mapping[str, Fraction]:
     return {r: Fraction(0) for r in game.recommenders}
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     found: bool
     report: Game | None
     truthful_utility: Fraction

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -105,8 +104,7 @@ def popcounts(n: int) -> list[int]:
     return subset_sums([1] * n)
 
 
-@dataclass(frozen=True)
-class ScenarioMeta:
+class ScenarioMeta(NamedTuple):
     """What pricing needs of a scenario game (None for raw table games):
     the margin delta and the grand coalition's selling probability p + f(N)."""
 

@@ -29,9 +29,7 @@ def as_fraction(value: Rational, what: str = "value") -> Fraction:
         return value
     if isinstance(value, bool):
         raise ValidationError(f"{what}: expected a number, got a bool")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Decimal):
+    if isinstance(value, (int, Decimal)):
         return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):

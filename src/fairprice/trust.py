@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,20 +36,17 @@ MC_TRIAL_CAP = 2**23
 _EXACT_BITS = 2**22  # the largest power, in bits, an exact clamp check builds (~0.5 s)
 
 
-@dataclass(frozen=True)
-class TrustParams:
+class TrustParams(NamedTuple("TrustParams", [("p0", Fraction), ("l", Fraction), ("g", Fraction),
+                                             ("r", Fraction), ("reset", bool)])):
     """Process parameters: initial trust p0, loss rate l, recovery factor g,
     per-success reward r, and whether success resets trust to p0."""
 
-    p0: Fraction
-    l: Fraction
-    g: Fraction
-    r: Fraction
-    reset: bool
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace converts and checks
 
-    def __post_init__(self):
-        for name in ("p0", "l", "g", "r"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name), name))
+    def __new__(cls, p0: Rational, l: Rational, g: Rational, r: Rational, reset: bool):
+        rates = (as_fraction(x, name) for x, name in zip((p0, l, g, r), cls._fields))
+        self = super().__new__(cls, *rates, reset)
         if not (0 < self.p0 < 1):
             raise ValidationError(f"p0 must lie in (0, 1), got {brief_str(self.p0)}")
         if not (0 <= self.l < 1):
@@ -58,9 +54,8 @@ class TrustParams:
         if self.g < 1:
             raise ValidationError(f"g must be >= 1, got {brief_str(self.g)}")
         if not 0 < self.r <= sys.float_info.max:
-            raise ValidationError(
-                f"r must be > 0 and within the float range, got {brief_str(self.r)}"
-            )
+            raise ValidationError(f"r must be > 0 and within the float range, got {brief_str(self.r)}")
+        return self
 
 
 def recovery_threshold(l: Rational, g: Rational, *, cap: int = 10**6) -> int | None:
@@ -255,14 +250,36 @@ def _require_plain_decay(tp: TrustParams, reset: bool) -> None:
 # Policies and reward curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RewardCurve:
     """Cumulative expected reward per step (1-based), optionally with
-    per-step standard errors from Monte Carlo."""
+    per-step standard errors from Monte Carlo.  Immutable; its length is
+    the step count, so it is no tuple."""
 
-    policy: str
-    values: tuple
-    stderr: tuple | None = None
+    __slots__ = ("policy", "values", "stderr")
+
+    def __init__(self, policy: str, values: tuple, stderr: tuple | None = None):
+        for name, value in zip(self.__slots__, (policy, values, stderr)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to RewardCurve.{name}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.policy, self.values, self.stderr
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is RewardCurve else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return RewardCurve, self._key()
+
+    def __repr__(self) -> str:
+        return "RewardCurve(policy={!r}, values={!r}, stderr={!r})".format(*self._key())
 
     def __len__(self) -> int:
         return len(self.values)
@@ -364,8 +381,7 @@ class OptimalPolicy(Policy):
 # The reachable-state kernel shared by the DP, the expectation and Monte Carlo
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _Kernel:
+class _Kernel(NamedTuple):
     """The trust states reachable from (0, 0) within n steps, with their
     success probabilities and transitions as flat index arrays.
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
+from typing import NamedTuple
 
 from . import corelp, fair_division as fd, games
 from .errors import ValidationError
@@ -20,8 +21,7 @@ from .errors import ValidationError
 FIGURE2 = {"n": 200, "r": "1", "p0": "0.5", "l": "0.66", "g_recovery": "1.33"}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -44,8 +44,6 @@ def random_general_game(rng: random.Random, n_rec: int | None = None) -> games.G
     recs = [f"r{i}" for i in range(1, n_rec + 1)]
     cap = 1 - p
     uplift = {}
-    from itertools import chain, combinations
-
     for combo in chain.from_iterable(combinations(recs, k) for k in range(1, n_rec + 1)):
         if rng.random() < 0.8:
             uplift[frozenset(combo) | {"s"}] = cap * Fraction(rng.randint(0, 12), 12)
@@ -57,8 +55,6 @@ def random_table_game(rng: random.Random, n_rec: int | None = None) -> games.Gam
     if n_rec is None:
         n_rec = rng.randint(1, 3)
     ids = ["s"] + [f"r{i}" for i in range(1, n_rec + 1)]
-    from itertools import chain, combinations
-
     table = {}
     for combo in chain.from_iterable(combinations(ids, k) for k in range(1, len(ids) + 1)):
         if "s" in combo:
@@ -80,22 +76,18 @@ def suite_figure2(seed: int = 20240117) -> list[CheckResult]:
     with_reset = trust.TrustParams(FIGURE2["p0"], FIGURE2["l"], 1, FIGURE2["r"], reset=True)
     series = trust.no_reset_total(no_reset)
     curve_nr = trust.expected_curve(no_reset, trust.AllPolicy(), n).final
-    out.append(
-        _check(
-            "no-reset asymptote 2.25 +/- 0.05",
-            abs(series - 2.25) <= 0.05 and abs(curve_nr - 2.25) <= 0.05,
-            f"series={series:.6f}, curve@{n}={curve_nr:.6f}",
-        )
-    )
+    out.append(_check(
+        "no-reset asymptote 2.25 +/- 0.05",
+        abs(series - 2.25) <= 0.05 and abs(curve_nr - 2.25) <= 0.05,
+        f"series={series:.6f}, curve@{n}={curve_nr:.6f}",
+    ))
     total = trust.with_reset_total(with_reset)
     curve_r = trust.expected_curve(with_reset, trust.AllPolicy(), n).final
-    out.append(
-        _check(
-            "reset asymptote 5 +/- 0.10",
-            abs(total - 5.0) <= 0.10 and abs(curve_r - 5.0) <= 0.10,
-            f"fixed point={total:.6f}, curve@{n}={curve_r:.6f}",
-        )
-    )
+    out.append(_check(
+        "reset asymptote 5 +/- 0.10",
+        abs(total - 5.0) <= 0.10 and abs(curve_r - 5.0) <= 0.10,
+        f"fixed point={total:.6f}, curve@{n}={curve_r:.6f}",
+    ))
     elapsed = time.perf_counter() - started
     out.append(_check("asymptote runtime < 5 s", elapsed < 5.0, f"elapsed={elapsed:.3f}s"))
 
@@ -104,13 +96,11 @@ def suite_figure2(seed: int = 20240117) -> list[CheckResult]:
     )
     a3 = trust.every_k_reward(recov, 3, n)
     a4 = trust.every_k_reward(recov, 4, n)
-    out.append(
-        _check(
-            "every-3 final 33.0 > every-4 final 25.0, exact",
-            a3.final == Fraction(33) and a4.final == Fraction(25) and a3.final > a4.final,
-            f"every-3={float(a3.final)}, every-4={float(a4.final)}",
-        )
-    )
+    out.append(_check(
+        "every-3 final 33.0 > every-4 final 25.0, exact",
+        a3.final == Fraction(33) and a4.final == Fraction(25) and a3.final > a4.final,
+        f"every-3={float(a3.final)}, every-4={float(a4.final)}",
+    ))
     a2 = trust.every_k_reward(recov, 2, n)
     increments = [a2.value_at(t) - a2.value_at(t - 2) for t in range(4, n + 1, 2)]
     bounded = all(
@@ -119,26 +109,22 @@ def suite_figure2(seed: int = 20240117) -> list[CheckResult]:
     limit = trust.with_reset_total(
         trust.TrustParams(recov.p0, recov.l * recov.g, 1, recov.r, reset=True)
     )
-    out.append(
-        _check(
-            "every-2 curve bounded (Cauchy)",
-            bounded and float(a2.final) <= limit + 1e-9,
-            f"final={float(a2.final):.4f} <= limit={limit:.4f}, increments decreasing={bounded}",
-        )
-    )
+    out.append(_check(
+        "every-2 curve bounded (Cauchy)",
+        bounded and float(a2.final) <= limit + 1e-9,
+        f"final={float(a2.final):.4f} <= limit={limit:.4f}, increments decreasing={bounded}",
+    ))
     curve, _policy = trust.dp_optimal(recov, n)
     dominated = all(
         curve.value_at(t) + 1e-9 >= float(a3.value_at(t)) for t in range(1, n + 1)
     )
     growth = curve.value_at(n) - curve.value_at(n // 2)
     a3_growth = float(a3.value_at(n) - a3.value_at(n // 2))
-    out.append(
-        _check(
-            "optimal dominates every-3 and keeps growing",
-            dominated and growth > 0.9 * a3_growth,
-            f"M_200={curve.final:.3f}, M_200-M_100={growth:.3f} vs 0.9*{a3_growth:.3f}",
-        )
-    )
+    out.append(_check(
+        "optimal dominates every-3 and keeps growing",
+        dominated and growth > 0.9 * a3_growth,
+        f"M_200={curve.final:.3f}, M_200-M_100={growth:.3f} vs 0.9*{a3_growth:.3f}",
+    ))
     return out
 
 
@@ -162,13 +148,11 @@ def suite_bounds(seed: int = 0) -> list[CheckResult]:
                 ok_bound = False
             gap = q - lower
             worst_gap = gap if worst_gap is None else min(worst_gap, gap)
-    out.append(
-        _check(
-            "never-succeed probability >= analytic lower bound > 0 on 9x9 grid",
-            ok_lower,
-            f"smallest slack={worst_gap:.3e}",
-        )
-    )
+    out.append(_check(
+        "never-succeed probability >= analytic lower bound > 0 on 9x9 grid",
+        ok_lower,
+        f"smallest slack={worst_gap:.3e}",
+    ))
     out.append(_check("reset total <= analytic upper bound on 9x9 grid", ok_bound, "all points"))
 
     xs = [i / 50 for i in range(51)]

@@ -15,7 +15,6 @@ from fairprice.corelp import (
     FeasibilityResult,
     LinearSystem,
     certificate_refutes,
-    satisfies,
 )
 from fairprice.errors import ValidationError
 from fairprice.fair_division import BargainingProblem
@@ -98,6 +97,17 @@ def seller_veto_core_oracle(
     rows = [frozenset(con.coeffs) for con in system.inequalities]
     ineq = tuple(Fraction(int(r == best or (len(r) == 1 and not r <= best))) for r in rows)
     return FarkasCertificate((Fraction(-1),), ineq)
+
+
+def satisfies_oracle(sys: LinearSystem, point: dict[str, Fraction]) -> bool:
+    """`corelp.satisfies` in Fractions: each row's left-hand side summed
+    term by term and compared with its right-hand side."""
+    def lhs(con) -> Fraction:
+        return sum((c * point[v] for v, c in con.coeffs.items()), Fraction(0))
+
+    return all(lhs(c) == c.rhs for c in sys.equalities) and all(
+        lhs(c) >= c.rhs for c in sys.inequalities
+    )
 
 
 def dense_simplex_oracle(sys: LinearSystem) -> FeasibilityResult:
@@ -197,7 +207,7 @@ def dense_simplex_oracle(sys: LinearSystem) -> FeasibilityResult:
                 uw[b] = tableau[i][-1]
         for v, j in var_index.items():
             point[v] = uw[j] - uw[nvar + j]
-        if not satisfies(sys, point):
+        if not satisfies_oracle(sys, point):
             raise AssertionError("exact simplex produced a non-satisfying point")
         return FeasibilityResult(True, point, None)
 

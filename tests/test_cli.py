@@ -14,6 +14,11 @@ LINEAR_SPEC = """\
  "p": 0.5, "delta": 1, "q": [0.2, 0.1]}
 """
 
+# p + f(N) = 0: no sale, so pay-per-sale is undefined
+ZERO_SALE_SPEC = """\
+{"players": ["s", "r1", "r2"], "scenario": "linear", "p": 0, "delta": 1, "q": [0, 0]}
+"""
+
 EXAMPLE1_SPEC = """\
 {"arguments": ["a", "b", "c"],
  "worths": {"a,b": 1, "a,c": 1, "a,b,c": 1},
@@ -161,12 +166,22 @@ def test_price_method_mismatch(linear_spec, example1_spec, capsys):
      "--vector[s]: cannot parse rational 'x'"),
     ("linear", ["--method", "nash,core-check", "--vector", '{"s": 1, "r1": 0}'],
      "payoff vector must cover exactly the game's players"),
-], ids=["player-spec", "argument-spec", "no-vector", "vector-json", "vector-value", "vector-ids"])
+    # these three used to exit 0, dropping the option unread, or to fail
+    # only after the Core LPs and Shapley had run
+    ("example1", ["--method", "anon-shapley", "--payment", "per-sale"],
+     "--payment needs a player-game spec, got an argument game"),
+    ("zero-sale", ["--method", "core-nonempty,shapley", "--payment", "per-sale"],
+     "pay-per-sale undefined: selling probability is 0"),
+    ("linear", ["--method", "shapley", "--vector", "[1"],
+     "--vector needs core-check among the methods"),
+], ids=["player-spec", "argument-spec", "no-vector", "vector-json", "vector-value", "vector-ids",
+        "payment-arguments", "payment-zero-sale", "vector-without-core-check"])
 def test_price_checks_methods_and_vector_before_any_work(
-    linear_spec, example1_spec, capsys, monkeypatch, spec, argv, err
+    linear_spec, example1_spec, tmp_path, capsys, monkeypatch, spec, argv, err
 ):
-    # a wrong-kind method or a bad --vector used to fail only after the
-    # methods before it had run (Shapley over 2^n coalitions, the Core LPs)
+    # a wrong-kind method, a bad --vector or --payment used to fail only
+    # after the methods before it had run (Shapley over 2^n coalitions, the
+    # Core LPs)
     from fairprice import corelp
     from fairprice import fair_division as fd
 
@@ -176,8 +191,9 @@ def test_price_checks_methods_and_vector_before_any_work(
     for name in ("shapley", "nash_bargaining", "anonymity_proof_shapley"):
         monkeypatch.setattr(fd, name, no_work)
     monkeypatch.setattr(corelp, "core_is_nonempty", no_work)
-    path = linear_spec if spec == "linear" else example1_spec
-    assert main(["price", "--game", str(path), *argv]) == 2
+    paths = {"linear": linear_spec, "example1": example1_spec, "zero-sale": tmp_path / "zero.json"}
+    paths["zero-sale"].write_text(ZERO_SALE_SPEC, encoding="utf-8")
+    assert main(["price", "--game", str(paths[spec]), *argv]) == 2
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
@@ -578,16 +594,20 @@ _NUMPY_PROBE = """
 import contextlib, io, json, sys
 from fairprice import cli
 
-loaded = {"import": "numpy" in sys.modules}
+def heavy():
+    return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+
+loaded = {"import": heavy()}
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        loaded[name] = [cli.main(argv), "numpy" in sys.modules]
+        loaded[name] = [cli.main(argv), heavy()]
 print(json.dumps(loaded))
 """
 
 
 def test_pricing_path_loads_no_numpy(linear_spec):
-    # numpy is ~0.14 s of a cold process; only the trust layer uses it
+    # numpy is ~0.14 s of a cold process; only the trust layer uses it.
+    # dataclasses (~10 ms, with inspect, ast, dis and tokenize) is used by none
     steps = [
         ["price", ["price", "--game", str(linear_spec),
                    "--method", "shapley,nash,core-nonempty"]],
@@ -601,8 +621,8 @@ def test_pricing_path_loads_no_numpy(linear_spec):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "import": False,
-        "price": [0, False],
-        "core-laws": [0, False],
-        "simulate": [0, True],
+        "import": [],
+        "price": [0, []],
+        "core-laws": [0, []],
+        "simulate": [0, ["numpy", "inspect"]],  # numpy imports inspect itself
     }

@@ -11,7 +11,7 @@ import fairprice as fp
 from fairprice import LinearSystem, ValidationError, corelp
 from fairprice.corelp import satisfies
 from fairprice.verification import _brute_force_in_core, random_table_game
-from oracles import dense_simplex_oracle
+from oracles import dense_simplex_oracle, satisfies_oracle
 
 
 def test_lp_trivially_infeasible():
@@ -142,6 +142,33 @@ def test_lp_matches_dense_simplex_oracle_on_big_numbers(sys_):
     with time_limit(2):
         got = fp.lp_feasible(sys_)
     assert got == dense_simplex_oracle(sys_)
+
+
+@st.composite
+def systems_and_points(draw):
+    """A system and a point over small or 10^12-sized values; each row's
+    right-hand side is the point's left-hand side, often shifted by a
+    drawn value, so rows hold with equality, pass and fail."""
+    values = draw(st.sampled_from([small_fractions, big_fractions]))
+    names = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    point = {v: draw(values) for v in names}
+
+    def rows(max_size):
+        out = []
+        for coeffs in draw(st.lists(st.dictionaries(st.sampled_from(names), values),
+                                    max_size=max_size)):
+            lhs = sum((a * point[v] for v, a in coeffs.items()), F(0))
+            out.append((coeffs, lhs + draw(st.just(F(0)) | values)))
+        return out
+
+    return LinearSystem.create(names, rows(3), rows(7)), point
+
+
+@given(sys_point=systems_and_points())
+def test_satisfies_matches_fraction_oracle(sys_point):
+    # the integer re-check must give the Fraction sums' verdict
+    sys_, point = sys_point
+    assert satisfies(sys_, point) == satisfies_oracle(sys_, point)
 
 
 def test_core_matches_dense_simplex_oracle(monkeypatch):
