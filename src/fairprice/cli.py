@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a named claim suite")
     p_ver.add_argument("--suite", required=True, help=", ".join(verification.SUITES))
-    p_ver.add_argument("--seed", type=int, help="override the suite's default seed")
+    p_ver.add_argument("--seed", type=int, help="the suite's seed (figure2, bounds take none)")
     return parser
 
 
@@ -139,6 +139,8 @@ def cmd_price(args) -> int:
     if args.payment:
         if arguments:
             raise ValidationError(f"--payment needs {needs}")
+        if "shapley" not in methods and "nash" not in methods:
+            raise ValidationError("--payment needs shapley or nash among the methods")
         fd.payment_divisor(spec, args.payment)
     if args.vector is not None and "core-check" not in methods:
         raise ValidationError("--vector needs core-check among the methods")

@@ -12,7 +12,9 @@ fraction-free: each row is a list of ints over one positive denominator,
 and Fractions appear only in the result.  Constraint counts are
 exponential in the player count.  Core membership and the separation scan
 between row-generation rounds are integer passes over the game's worth
-table; the simplex sees only the rows activated so far.
+table, and both the scan and `core_system` take the proper coalitions in
+one order, `games.proper_masks`.  The simplex sees only the rows activated
+so far, and `lp_feasible` checks each certificate once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .games import Coalition, Game, WorthTable, check_covers, lex_masks, subset_sums
+from .games import Coalition, Game, WorthTable, check_covers, lex_masks, proper_masks, subset_sums
 from .rational import Rational, as_fraction
 
 
@@ -92,11 +94,8 @@ def certificate_refutes(sys: LinearSystem, cert: FarkasCertificate) -> bool:
         return False
     combined = {v: Fraction(0) for v in sys.variables}
     rhs = Fraction(0)
-    for m, con in zip(cert.eq_multipliers, sys.equalities):
-        for v, c in con.coeffs.items():
-            combined[v] += m * c
-        rhs += m * con.rhs
-    for m, con in zip(cert.ineq_multipliers, sys.inequalities):
+    rows = (*sys.equalities, *sys.inequalities)
+    for m, con in zip((*cert.eq_multipliers, *cert.ineq_multipliers), rows):
         for v, c in con.coeffs.items():
             combined[v] += m * c
         rhs += m * con.rhs
@@ -244,9 +243,8 @@ def lp_feasible(sys: LinearSystem) -> FeasibilityResult:
 def core_system(game: Game) -> LinearSystem:
     """The Core as a linear system over one variable per player."""
     t = game.table()
-    full = len(t.nums) - 1
-    ineqs = tuple(_row(t, m) for m in lex_masks(len(t.ids)) if 0 < m < full)
-    return LinearSystem(t.ids, (_row(t, full),), ineqs)
+    ineqs = tuple(_row(t, m) for m in proper_masks(len(t.ids)))
+    return LinearSystem(t.ids, (_row(t, len(t.nums) - 1),), ineqs)
 
 
 def _row(t: WorthTable, mask: int) -> LinearConstraint:
@@ -299,18 +297,21 @@ def core_is_nonempty(game: Game) -> CoreExistence:
     set, scanning all 2^n coalitions between rounds for the most violated
     one (ties to the lexicographically smallest).  A restricted-system
     Farkas certificate extends to the full system with zero multipliers on
-    inactive rows.
+    inactive rows; `lp_feasible` has already checked it on the active rows,
+    and the zeros change neither side of that check.
     """
     t = game.table()
     eq = (_row(t, len(t.nums) - 1),)
+    zero = Fraction(0)
 
     active = [1 << j for j in range(len(t.ids))]  # the singletons
     rows = [_row(t, m) for m in active]
     while True:
         res = lp_feasible(LinearSystem(t.ids, eq, tuple(rows)))
         if not res.feasible:
-            cert = _full_system_certificate(t, active, res.certificate)
-            return CoreExistence(False, None, cert)
+            mult = dict(zip(active, res.certificate.ineq_multipliers))
+            full = tuple(mult.get(m, zero) for m in proper_masks(len(t.ids)))
+            return CoreExistence(False, None, res.certificate._replace(ineq_multipliers=full))
         worst = _worst_violated_coalition(t, res.point)
         if worst is None:
             membership = core_contains(game, res.point)
@@ -325,33 +326,10 @@ def _worst_violated_coalition(t: WorthTable, point: Mapping[str, Fraction]) -> i
     """Mask of the proper coalition with the largest positive excess, ties to
     the lexicographically smallest; None when no proper coalition is violated."""
     excess = _excess(t, point)
-    full = len(excess) - 1
-    top = max(excess[1:full], default=0)
+    top = max(excess[1:-1], default=0)  # C-level max, then the first match (beats max(key=))
     if top <= 0:
         return None
-    return next(m for m in lex_masks(len(t.ids)) if 0 < m < full and excess[m] == top)
-
-
-def _full_system_certificate(
-    t: WorthTable, active: Sequence[int], cert: FarkasCertificate
-) -> FarkasCertificate:
-    multipliers = dict(zip(active, cert.ineq_multipliers))
-    full = len(t.nums) - 1
-    zero = Fraction(0)
-    extended = FarkasCertificate(
-        cert.eq_multipliers,
-        tuple(multipliers.get(m, zero) for m in lex_masks(len(t.ids)) if 0 < m < full),
-    )
-    # cheap direct re-check; combining inactive rows adds nothing
-    combined = {i: cert.eq_multipliers[0] for i in t.ids}
-    rhs = cert.eq_multipliers[0] * Fraction(t.nums[full], t.den)
-    for m, mult in multipliers.items():
-        for i in t.members(m):
-            combined[i] += mult
-        rhs += mult * Fraction(t.nums[m], t.den)
-    if any(c != 0 for c in combined.values()) or rhs <= 0:
-        raise AssertionError("lazy-row Farkas certificate failed the exact re-check")
-    return extended
+    return next(m for m in proper_masks(len(t.ids)) if excess[m] == top)
 
 
 # ---------------------------------------------------------------------------

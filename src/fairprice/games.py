@@ -91,6 +91,13 @@ def lex_masks(n: int) -> tuple[int, ...]:
     return (0, *tail)
 
 
+@lru_cache(maxsize=None)
+def proper_masks(n: int) -> tuple[int, ...]:
+    """The masks of the proper nonempty coalitions, in `lex_masks(n)` order."""
+    full = (1 << n) - 1
+    return tuple(m for m in lex_masks(n) if 0 < m < full)
+
+
 def subset_sums(values: Iterable[int]) -> list[int]:
     """sums[mask] = sum of values[j] over the bits j set in mask."""
     sums = [0]
@@ -181,9 +188,9 @@ class Game:
 
     def coalitions(self) -> Iterable[Coalition]:
         """All 2^|N| coalitions, in lexicographic order of sorted-id tuples."""
-        ids = self._table.ids
-        for m in lex_masks(len(ids)):
-            yield frozenset(pid for j, pid in enumerate(ids) if m >> j & 1)
+        t = self._table
+        for m in lex_masks(len(t.ids)):
+            yield frozenset(t.members(m))
 
     def sale_probability(self) -> Fraction:
         """p + f(N), the grand-coalition selling probability (scenario games)."""

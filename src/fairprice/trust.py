@@ -45,6 +45,8 @@ class TrustParams(NamedTuple("TrustParams", [("p0", Fraction), ("l", Fraction), 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace converts and checks
 
     def __new__(cls, p0: Rational, l: Rational, g: Rational, r: Rational, reset: bool):
+        if not isinstance(reset, bool):
+            raise ValidationError(f"reset must be a bool, got {reset!r}")
         rates = (as_fraction(x, name) for x, name in zip((p0, l, g, r), cls._fields))
         self = super().__new__(cls, *rates, reset)
         if not (0 < self.p0 < 1):
@@ -205,10 +207,7 @@ def _li2_power_series(z: float) -> float:
 def zero_success_lower_bound(tp: TrustParams) -> float:
     """Analytic positive lower bound on the never-succeed probability:
     (1-c) * exp(dilog(1-c)/ln(c)) with c = max(p0, l)."""
-    c = max(tp.p0, tp.l)
-    if not (0 < c < 1):
-        raise ValidationError(f"max(p0, l) must lie strictly in (0, 1), got {c}")
-    cf = float(c)
+    cf = float(max(tp.p0, tp.l))  # in (0, 1): TrustParams holds 0 < p0 < 1 and 0 <= l < 1
     return (1.0 - cf) * math.exp(dilog(1.0 - cf) / math.log(cf))
 
 
@@ -337,8 +336,8 @@ class EveryK(_StepRule):
     """Recommend every k-th step (steps k, 2k, ...): floor(n/k) times in n steps."""
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValidationError(f"k must be an integer >= 1, got {k!r}")
         self.k = k
         self.name = f"every-{k}"
 
@@ -562,8 +561,9 @@ def every_k_reward(tp: TrustParams, k: int, n: int, *, prune: float = 0.0) -> Re
     l * g^(k-1) and the curve is evaluated as an exact-state expectation in
     float64, `expected_curve` with the given `prune`.
     """
-    if k < 1 or n < 1:
-        raise ValidationError("k and n must be >= 1")
+    policy = EveryK(k)
+    if n < 1:
+        raise ValidationError("n must be >= 1")
     check_tolerance("prune", prune, zero_ok=True)
     if not tp.reset:
         raise ValidationError("the every-k curve is defined for the reset process")
@@ -571,8 +571,8 @@ def every_k_reward(tp: TrustParams, k: int, n: int, *, prune: float = 0.0) -> Re
     if k > n or _frontier(tp.l, tp.g, 2, k - 1)[1] <= k - 2:
         _layout(tp, n)  # the same horizon bound as every other curve
         per = tp.p0 * tp.r
-        return RewardCurve(f"every-{k}", tuple(Fraction(t // k) * per for t in range(1, n + 1)))
-    return expected_curve(tp, EveryK(k), n, prune=prune)
+        return RewardCurve(policy.name, tuple(Fraction(t // k) * per for t in range(1, n + 1)))
+    return expected_curve(tp, policy, n, prune=prune)
 
 
 # ---------------------------------------------------------------------------

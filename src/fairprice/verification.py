@@ -66,7 +66,7 @@ def random_table_game(rng: random.Random, n_rec: int | None = None) -> games.Gam
 # Suites
 # ---------------------------------------------------------------------------
 
-def suite_figure2(seed: int = 20240117) -> list[CheckResult]:
+def suite_figure2() -> list[CheckResult]:
     from . import trust
 
     out = []
@@ -128,7 +128,7 @@ def suite_figure2(seed: int = 20240117) -> list[CheckResult]:
     return out
 
 
-def suite_bounds(seed: int = 0) -> list[CheckResult]:
+def suite_bounds() -> list[CheckResult]:
     from . import trust
 
     out = []
@@ -305,6 +305,7 @@ def suite_shapley_axioms(seed: int = 5) -> list[CheckResult]:
     ]
 
 
+_SEEDLESS = ("figure2", "bounds")  # suites that draw nothing at random
 SUITES = {
     "bounds": suite_bounds,
     "truthfulness": suite_truthfulness,
@@ -317,8 +318,11 @@ SUITES = {
 def run_suite(name: str, seed: int | None = None) -> list[CheckResult]:
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    fn = SUITES[name]
-    return fn() if seed is None else fn(seed)
+    if seed is None:
+        return SUITES[name]()
+    if name in _SEEDLESS:
+        raise ValidationError(f"suite {name!r} takes no seed")
+    return SUITES[name](seed)
 
 
 # ---------------------------------------------------------------------------

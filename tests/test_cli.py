@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fairprice import ValidationError
 from fairprice.cli import main
 from oracles import read_curve_csv, read_results_csv
 
@@ -151,6 +152,8 @@ def test_price_core_nonempty(linear_spec, capsys):
 def test_price_method_mismatch(linear_spec, example1_spec, capsys):
     assert main(["price", "--game", str(linear_spec), "--method", "anon-shapley"]) == 2
     assert main(["price", "--game", str(example1_spec), "--method", "nash"]) == 2
+    assert main(["price", "--game", str(linear_spec), "--method", ","]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: no methods given"
 
 
 @pytest.mark.parametrize("spec, argv, err", [
@@ -174,8 +177,11 @@ def test_price_method_mismatch(linear_spec, example1_spec, capsys):
      "pay-per-sale undefined: selling probability is 0"),
     ("linear", ["--method", "shapley", "--vector", "[1"],
      "--vector needs core-check among the methods"),
+    ("linear", ["--method", "core-nonempty", "--payment", "per-sale", "--format", "csv"],
+     "--payment needs shapley or nash among the methods"),
 ], ids=["player-spec", "argument-spec", "no-vector", "vector-json", "vector-value", "vector-ids",
-        "payment-arguments", "payment-zero-sale", "vector-without-core-check"])
+        "payment-arguments", "payment-zero-sale", "vector-without-core-check",
+        "payment-without-pricing"])
 def test_price_checks_methods_and_vector_before_any_work(
     linear_spec, example1_spec, tmp_path, capsys, monkeypatch, spec, argv, err
 ):
@@ -402,14 +408,30 @@ def test_simulate_byte_identical_reruns(tmp_path):
 
 
 def test_simulate_split_files(tmp_path):
-    outdir = tmp_path / "curves"
-    code = main(
+    for fmt in ("csv", "json"):
+        outdir = tmp_path / fmt
+        code = main(
+            ["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1", "--r", "1",
+             "--n", "10", "--policy", "all", "--trials", "50", "--seed", "1",
+             "--format", fmt, "--split", "--out", str(outdir)]
+        )
+        assert code == 0
+        assert sorted(f.name for f in outdir.iterdir()) == [f"all-mc.{fmt}", f"all.{fmt}"]
+
+
+def test_simulate_json_with_trials(capsys):
+    code, out = run(
         ["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1", "--r", "1",
-         "--n", "10", "--policy", "all", "--trials", "50", "--seed", "1",
-         "--split", "--out", str(outdir)]
+         "--n", "4", "--policy", "every-k:2", "--trials", "50", "--seed", "3",
+         "--format", "json"],
+        capsys,
     )
     assert code == 0
-    assert (outdir / "all.csv").exists() and (outdir / "all-mc.csv").exists()
+    exact, mc = json.loads(out)["curves"]
+    assert (exact["policy"], mc["policy"]) == ("every-2", "every-2:mc")
+    # step 4: 1/2 * 1/2 after a success at step 2, 1/2 * 0.33 after a failure
+    assert exact["values"] == ["0", "0.5", "0.5", "0.915"] and exact["stderr"] is None
+    assert len(mc["values"]) == len(mc["stderr"]) == 4
 
 
 def test_simulate_validation_exit_codes(capsys):
@@ -419,6 +441,13 @@ def test_simulate_validation_exit_codes(capsys):
                  "--n", "501", "--policy", "optimal"]) == 3
     assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1", "--r", "1",
                  "--n", "5", "--policy", "sometimes"]) == 2
+    assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1", "--r", "1",
+                 "--n", "5", "--policy", "every-k:x"]) == 2
+    assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1", "--r", "1",
+                 "--n", "0", "--policy", "all"]) == 2
+    assert capsys.readouterr().err.splitlines()[-2:] == [
+        "error: bad every-k policy 'every-k:x'", "error: --n must be >= 1",
+    ]
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
@@ -565,6 +594,21 @@ def test_verify_figure2_suite(capsys):
 
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
+
+
+@pytest.mark.parametrize("suite", ["figure2", "bounds"])
+def test_verify_seed_refused_by_seedless_suites(capsys, monkeypatch, suite):
+    # both suites draw nothing at random; a seed used to be taken and dropped
+    from fairprice import verification
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the suite ran before its seed was refused")
+
+    monkeypatch.setitem(verification.SUITES, suite, no_work)
+    assert main(["verify", "--suite", suite, "--seed", "123"]) == 2
+    assert capsys.readouterr().err == f"error: suite {suite!r} takes no seed\n"
+    with pytest.raises(ValidationError, match="takes no seed"):
+        verification.run_suite(suite, 0)
 
 
 def test_module_entry_point(tmp_path):

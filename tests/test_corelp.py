@@ -204,6 +204,8 @@ def test_core_matches_dense_simplex_oracle_at_benchmark_size(monkeypatch):
     with time_limit(20):
         got = [fp.core_is_nonempty(g) for g in games]
     assert [r.nonempty for r in got] == [True, True, False]
+    # the zero-extended certificate refutes the full 2^n system
+    assert fp.certificate_refutes(fp.core_system(general), got[2].certificate)
     monkeypatch.setattr(corelp, "lp_feasible", dense_simplex_oracle)
     assert [fp.core_is_nonempty(g) for g in games] == got
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
 from fairprice import ResourceCapError, ValidationError
-from fairprice.fair_division import scale_margin, scaled_report_grid
+from fairprice.fair_division import payment_divisor, scale_margin, scaled_report_grid
 from fairprice.verification import random_table_game
 from oracles import nash_product_grid_oracle, shapley_permutation_oracle
 
@@ -154,6 +154,24 @@ def test_overlapping_ownership_rejected():
         fp.ArgumentGame.create(["a", "b"], {("a", "b"): 1}, {"r1": ["a", "b"], "r2": ["b"]})
 
 
+@pytest.mark.parametrize("worths, ownership, message", [
+    ({("a", "z"): 1}, {"r1": ["a"]}, "worth key ['a', 'z'] uses unknown arguments"),
+    ({("a",): -1}, {"r1": ["a"]}, "argument worth must be >= 0, got -1"),
+    ({(): 1}, {"r1": ["a"]}, "the empty argument set must have worth 0"),
+    ({("a",): 1}, {"r1": ["a", "z"]}, "ownership of 'r1' uses unknown arguments"),
+], ids=["unknown-key", "negative-worth", "empty-worth", "unknown-owned"])
+def test_argument_game_create_validation(worths, ownership, message):
+    with pytest.raises(ValidationError) as exc:
+        fp.ArgumentGame.create(["a", "b"], worths, ownership)
+    assert str(exc.value) == message
+
+
+def test_argument_game_worth_rejects_unknown_arguments():
+    ag = fp.ArgumentGame.create(["a", "b"], {("a",): 1}, {"r1": ["a"]})
+    with pytest.raises(ValidationError, match=r"unknown argument\(s\): \['z'\]"):
+        ag.worth({"a", "z"})
+
+
 # ---------------------------------------------------------------------------
 # Nash bargaining
 # ---------------------------------------------------------------------------
@@ -266,6 +284,14 @@ def test_prices_zero_probability_rejected():
         fp.to_prices({"s": F(0), "r1": F(0)}, g, fp.PAY_PER_SALE)
 
 
+def test_prices_refuse_unknown_mode_and_missing_recommenders():
+    g = fp.build_linear("0.5", 1, ["0.2", "0.1"])
+    with pytest.raises(ValidationError, match="unknown payment mode 'per-click'"):
+        payment_divisor(g, "per-click")
+    with pytest.raises(ValidationError, match=r"payoff vector lacks recommenders \['r2'\]"):
+        fp.to_prices({"s": F(0), "r1": F(1)}, g, fp.PAY_PER_SALE)
+
+
 # ---------------------------------------------------------------------------
 # Truthfulness probe
 # ---------------------------------------------------------------------------
@@ -349,6 +375,13 @@ def test_scale_margin_equals_the_rebuilt_game(kind, factor):
     for s in rebuilt.coalitions():
         assert scaled.worth(s) == rebuilt.worth(s)
     assert fp.shapley(scaled) == fp.shapley(rebuilt)
+
+
+def test_scale_margin_refusals():
+    with pytest.raises(ValidationError, match="requires a scenario-built game"):
+        scale_margin(fp.from_table(["s", "r1"], {("s",): 1}), 2)
+    with pytest.raises(ValidationError, match="factor must be nonnegative"):
+        scale_margin(MARGIN_BUILDERS["linear"](F(1)), -1)
 
 
 def _argument_game(count: int):

@@ -91,6 +91,8 @@ def test_worth_rejects_unknown_ids():
         lambda: build_threshold("0.5", 1, 2, 3, "0.1"),  # k > n
         lambda: build_threshold("0.5", 1, 2, 0, "0.1"),  # k < 1
         lambda: build_threshold("0.5", 1, 2, 1, "0.6"),  # p + q > 1
+        lambda: build_threshold("0.5", 1, 2, 1, "0.1", recommenders=["r1"]),  # 1 id for n = 2
+        lambda: build_linear("0.5", 1, ["0.1"], recommenders=["r1", "r2"]),  # 1 q for 2 ids
         lambda: build_general("0.5", 1, {("s",): "0.1"}, recommenders=["r1"]),  # f({s}) != 0
         lambda: build_general("0.5", 1, {("s", "r1"): "0.7"}, recommenders=["r1"]),  # > 1-p
         lambda: build_general("0.5", 1, {("r1",): "0.2"}, recommenders=["r1"]),  # no seller
@@ -158,6 +160,9 @@ def test_player_cap(monkeypatch):
     monkeypatch.setenv("FAIRPRICE_MAX_PLAYERS", "zero")
     with pytest.raises(ValidationError):
         build_linear(0, 1, [0])
+    monkeypatch.setenv("FAIRPRICE_MAX_PLAYERS", "0")
+    with pytest.raises(ValidationError, match="must be positive, got 0"):
+        build_linear(0, 1, [0])
 
 
 def test_from_table_validation():
@@ -168,6 +173,10 @@ def test_from_table_validation():
         from_table(["s", "r1"], {("s",): -1})
     with pytest.raises(ValidationError):
         from_table(["s", "r1"], {(): 1})
+    with pytest.raises(ValidationError, match="unknown player ids"):
+        from_table(["s", "r1"], {("s", "r2"): 1})
+    with pytest.raises(ValidationError, match="only defined for scenario-built games"):
+        from_table(["s", "r1"], {("s",): 1}).sale_probability()
 
 
 def test_from_table_players():
@@ -235,6 +244,8 @@ def test_add_games_pointwise():
     c = add_games(a, b)
     assert c.worth({"s"}) == 3
     assert c.worth({"s", "r1"}) == 4
+    with pytest.raises(ValidationError, match="same player set"):
+        add_games(a, from_table(["s", "r2"], {("s",): 1}))
 
 
 def test_is_feasible():

@@ -49,6 +49,7 @@ def test_load_general_f_table():
         '{"players": ["s", "r1"], "scenario": "threshold", "p": 0, "delta": 1, "k": "two", "q": 0.1}',
         '{"players": ["s", "r1"], "scenario": "general", "p": 0, "delta": 1, "f": {"bogus": 0.1}}',
         '{"players": ["s", "r1"], "scenario": "linear", "p": "1/0", "delta": 1, "q": [0]}',
+        '{"players": ["s", "r1"], "scenario": "general", "p": 0, "delta": 1, "f": [0.1]}',
     ],
 )
 def test_load_game_rejects_malformed(text):
@@ -75,6 +76,8 @@ def test_load_spec_tells_the_kinds_apart():
     assert isinstance(ag, ArgumentGame) and ag.worth({"a"}) == 1
     with pytest.raises(ValidationError, match="^x.json: top level must be an object$"):
         load_spec("[1]", "x.json")
+    with pytest.raises(ValidationError, match="'worths' and 'ownership' must be objects$"):
+        load_spec('{"arguments": ["a"], "worths": [1], "ownership": {"r1": ["a"]}}')
 
 
 def test_load_payoff_vector():

@@ -43,6 +43,15 @@ def test_param_validation(kwargs):
         TrustParams(reset=True, **kwargs)
 
 
+@pytest.mark.parametrize("reset", ["no", 1, None])
+def test_reset_must_be_a_bool(reset):
+    # reset="no" used to be kept, and read as true
+    with pytest.raises(ValidationError, match="^reset must be a bool, got "):
+        TrustParams("0.5", "0.66", 1, 1, reset=reset)
+    with pytest.raises(ValidationError, match="^reset must be a bool, got "):
+        TrustParams("0.5", "0.66", 1, 1, reset=False)._replace(reset=reset)
+
+
 def _state(kernel, index):
     return int(kernel.fails[index]), int(kernel.boosts[index])
 
@@ -151,6 +160,8 @@ def test_recovery_threshold():
     assert fp.recovery_threshold("0.5", 2) == 1  # l * g = 1 exactly
     assert fp.recovery_threshold("0.66", 1) is None
     assert fp.recovery_threshold(0, 2) is None
+    with pytest.raises(ValidationError, match=r"^l must lie in \[0, 1\), got 1$"):
+        fp.recovery_threshold(1, 2)
 
 
 def test_recovery_threshold_bounded_time():
@@ -367,6 +378,9 @@ def test_dilog_endpoints_and_value():
         fp.dilog(-0.1)
     with pytest.raises(ValidationError):
         fp.dilog(1.1)
+    for f in (fp.dilog, fp.dilog_series):
+        with pytest.raises(ValidationError, match="must lie in \\[0, 1\\], got 2"):
+            f(2)
 
 
 def test_dilog_monotone_bounded_and_consistent():
@@ -481,6 +495,34 @@ def test_every_one_equals_all_policy(fig2_reset):
 def test_every_k_requires_reset(fig2_no_reset):
     with pytest.raises(ValidationError):
         fp.every_k_reward(fig2_no_reset, 3, 10)
+
+
+@pytest.mark.parametrize("k", [0, 1.5, 2.0, True, "3"])
+def test_every_k_takes_an_integer_k(fig2_recovery, k):
+    # EveryK(1.5) used to recommend at step 3, EveryK(True) was named
+    # every-True, and every_k_reward(tp, 1.5, n) returned a curve
+    with pytest.raises(ValidationError, match="^k must be an integer >= 1, got "):
+        EveryK(k)
+    with pytest.raises(ValidationError, match="^k must be an integer >= 1, got "):
+        fp.every_k_reward(fig2_recovery, k, 10)
+
+
+def test_curves_need_a_step(fig2_recovery):
+    with pytest.raises(ValidationError, match="^n must be >= 1$"):
+        expected_curve(fig2_recovery, AllPolicy(), 0)
+    with pytest.raises(ValidationError, match="^n must be >= 1$"):
+        fp.every_k_reward(fig2_recovery, 3, 0)
+
+
+def test_step_rules_decide_by_step_alone():
+    fails, boosts = np.array([0, 3, 7]), np.array([0, 1, 0])
+    every3 = EveryK(3)
+    assert [every3.decide(t) for t in range(1, 7)] == [False, False, True, False, False, True]
+    assert every3.decide(6, fails=5, boosts=2) and not every3.decide(7, fails=0)
+    assert every3.decision_mask(3, fails, boosts).tolist() == [True] * 3
+    assert every3.decision_mask(4, fails, boosts).tolist() == [False] * 3
+    assert AllPolicy().decide(1, fails=9, boosts=4)
+    assert AllPolicy().decision_mask(5, fails, boosts).tolist() == [True] * 3
 
 
 def test_every_k_exact_branch_respects_the_state_cap(fig2_recovery, monkeypatch):
