@@ -234,7 +234,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError("--n must be >= 1")
     if args.trials is not None:
         trust.check_monte_carlo(args.trials, args.seed, prefix="--")
-    trust.check_tolerance("--tol", args.tol, zero_ok=True)
+    trust.check_tolerance("--tol", args.tol)
     if args.split and not args.out:
         raise ValidationError("--split requires --out <directory>")
     policy, curve = _policy_curve(args, tp)

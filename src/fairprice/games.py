@@ -254,6 +254,11 @@ def build_threshold(
     """Threshold scenario: probability rises to p+q once >= k recommenders join."""
     p, delta = _margin(p, delta)
     q = as_fraction(q, "q")
+    for name, value in (("k", k), ("n", n)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            # a spec's decimals arrive as Fractions, which may be too long to print
+            shown = brief_str(value) if isinstance(value, Fraction) else repr(value)
+            raise ValidationError(f"threshold {name} must be an integer, got {shown}")
     if not (1 <= k <= n):
         raise ValidationError(f"threshold k must satisfy 1 <= k <= n, got k={k}, n={n}")
     check_size(n + 1, "players")  # before n default ids are built

@@ -85,8 +85,6 @@ def load_game(src: str | dict, where: str = "game spec") -> Game:
         return build_linear(p, delta, q, seller=seller, recommenders=recommenders)
     if scenario == "threshold":
         k = _field(doc, "k", where)
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ValidationError(f"{where}: 'k' must be an integer")
         q = _field(doc, "q", where)
         return build_threshold(
             p, delta, len(recommenders), k, q, seller=seller, recommenders=recommenders

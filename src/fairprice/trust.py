@@ -11,6 +11,9 @@ p0 * l^fails * g^boosts, normalized so the clamp has been applied at every
 step.  `_frontier` alone decides the clamp (l^a * g^(b+1) >= 1), from a
 certified log-ratio estimate with exact checks near ties; expected values
 and bounds are float64 except where closed forms are exact by construction.
+The no-recovery (g = 1) closed forms sum their series to float resolution;
+where a sum needs more than SERIES_TERM_CAP terms or a result leaves the
+float range they raise ResourceCapError, never returning inf or 0.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ KERNEL_STATE_CAP = 2**22
 # draws, masks and index temporaries): 2^23 trials is ~0.35 GB
 MC_TRIAL_CAP = 2**23
 _EXACT_BITS = 2**22  # the largest power, in bits, an exact clamp check builds (~0.5 s)
+# the no-recovery series stop within 2^20 terms for l up to ~0.999955 (1 - l >= 4.46e-5);
+# the longest such sum takes ~0.2 s (2-vCPU guest, Python 3.11)
+SERIES_TERM_CAP = 2**20
+_LN_FLOAT_MIN, _LN_FLOAT_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 class TrustParams(NamedTuple("TrustParams", [("p0", Fraction), ("l", Fraction), ("g", Fraction),
@@ -100,52 +107,63 @@ def no_reset_total_geometric(tp: TrustParams) -> Fraction:
     return tp.p0 / (1 - tp.p0) * tp.r / (1 - tp.l)
 
 
-def no_reset_total(tp: TrustParams, tol: float = 1e-12) -> float:
-    """Exact-series total reward without reset: sum of l^i p0/(1 - l^i p0) * r.
-
-    Truncated once a term drops below tol; the discarded tail is below
-    tol * l/(1-l).
-    """
+def no_reset_total(tp: TrustParams) -> float:
+    """Exact-series total reward without reset: sum of l^i p0/(1 - l^i p0) * r,
+    to float resolution; ResourceCapError past the term cap or float range."""
     _require_plain_decay(tp, reset=False)
-    check_tolerance("tol", tol)
-    p0f, lf, rf = float(tp.p0), float(tp.l), float(tp.r)
-    total = 0.0
-    i = 0
-    while True:
-        x = p0f * lf**i
-        term = x / (1.0 - x) * rf
-        total += term
-        if term < tol:
-            return total
-        i += 1
+    return _float_result(math.log(_decay_series(tp, lambda x: x / (1.0 - x))) + _ln(tp.r))
 
 
-def zero_success_probability(tp: TrustParams, tol: float = 1e-12) -> float:
+def zero_success_probability(tp: TrustParams) -> float:
     """Probability that an infinite run of recommendations never succeeds:
-    the product of (1 - l^k p0) over k >= 0.
-
-    The truncated tail multiplies the product by a factor within
-    exp(-sum of remaining l^k p0/(1 - l^k p0)); iteration continues until
-    that factor is within tol of 1, so the absolute error is below tol.
-    """
+    the product q of (1 - l^k p0) over k >= 0, as e^-S for S = -ln q, to
+    float resolution; ResourceCapError past the term cap or float range."""
     _require_plain_decay(tp, reset=True)
-    check_tolerance("tol", tol)
-    p0f, lf = float(tp.p0), float(tp.l)
-    q = 1.0
-    k = 0
+    return _float_result(-_decay_series(tp, lambda x: -math.log1p(-x)))
+
+
+def with_reset_total(tp: TrustParams) -> float:
+    """Total expected reward with reset, the fixed point (1-q)/q * r = (e^S - 1) * r;
+    ResourceCapError past the term cap or float range."""
+    _require_plain_decay(tp, reset=True)
+    return _reward_fixed_point(_decay_series(tp, lambda x: -math.log1p(-x)), tp.r)
+
+
+def _decay_series(tp: TrustParams, f) -> float:
+    """The sum of f(p0 * l^i) over i >= 0 for a convex f with f(0) = 0: as
+    f(l x) <= l f(x), the tail after a term t is at most t * l/(1-l), and the
+    sum stops once adding that bound would leave the running sum unchanged."""
+    x = float(tp.p0)
+    if not sys.float_info.min <= x < 1.0:
+        raise ResourceCapError(f"p0 = {brief_str(tp.p0)} lies too close to 0 or 1 for the float range")
+    # each term is at most l times the one before and the sum is at least the
+    # first, so the rule has stopped once l^i * l/(1-l) < 2^-54
+    if 54 * math.log(2) + _ln(tp.l) - _ln(1 - tp.l) > -_ln(tp.l) * SERIES_TERM_CAP:
+        raise ResourceCapError(
+            f"l = {brief_str(tp.l)} needs more than {SERIES_TERM_CAP} series terms (the cap)")
+    lf = float(tp.l)
+    ratio = lf / (1.0 - lf)
+    total = 0.0
     while True:
-        q *= 1.0 - p0f * lf**k
-        k += 1
-        x_next = p0f * lf**k
-        tail = x_next / (1.0 - x_next) / (1.0 - lf) if lf > 0 else 0.0
-        if tail < tol:
-            return q
+        term = f(x)
+        total += term
+        if total + term * ratio == total:
+            return total
+        x *= lf
 
 
-def with_reset_total(tp: TrustParams, tol: float = 1e-12) -> float:
-    """Total expected reward with reset, the fixed point (1-q)/q * r."""
-    q = zero_success_probability(tp, tol)
-    return (1.0 - q) / q * float(tp.r)
+def _reward_fixed_point(s: float, r: Fraction) -> float:
+    """(1-q)/q * r for q = e^-s, as e^(s + ln(1 - e^-s) + ln r): nothing
+    overflows before the result."""
+    return _float_result(s + (math.log(-math.expm1(-s)) if s else -math.inf) + _ln(r))
+
+
+def _float_result(ln_x: float) -> float:
+    """e^ln_x; ResourceCapError where that lies beyond the normal float range,
+    so a closed form never returns inf or an underflowed 0."""
+    if not _LN_FLOAT_MIN <= ln_x <= _LN_FLOAT_MAX:
+        raise ResourceCapError(f"result e^{ln_x:.6g} lies beyond the float range")
+    return math.exp(ln_x)
 
 
 def dilog(x: float) -> float:
@@ -205,25 +223,35 @@ def _li2_power_series(z: float) -> float:
 
 
 def zero_success_lower_bound(tp: TrustParams) -> float:
-    """Analytic positive lower bound on the never-succeed probability:
-    (1-c) * exp(dilog(1-c)/ln(c)) with c = max(p0, l)."""
-    cf = float(max(tp.p0, tp.l))  # in (0, 1): TrustParams holds 0 < p0 < 1 and 0 <= l < 1
-    return (1.0 - cf) * math.exp(dilog(1.0 - cf) / math.log(cf))
+    """Analytic positive lower bound d on the never-succeed probability:
+    (1-c) * exp(dilog(1-c)/ln(c)) with c = max(p0, l); ResourceCapError
+    where it lies below the float range."""
+    return _float_result(_ln_zero_success_lower_bound(tp))
 
 
 def with_reset_total_bound(tp: TrustParams) -> float:
     """Finite upper bound (1-d)/d * r on the with-reset total reward, where
-    d is the analytic lower bound on the never-succeed probability."""
-    d = zero_success_lower_bound(tp)
-    return (1.0 - d) / d * float(tp.r)
+    d is the analytic lower bound on the never-succeed probability;
+    ResourceCapError where it lies beyond the float range."""
+    return _reward_fixed_point(-_ln_zero_success_lower_bound(tp), tp.r)
 
 
-def check_tolerance(name: str, value: float, *, zero_ok: bool = False) -> None:
-    """Require a finite tolerance > 0 (>= 0 with zero_ok): the truncation
-    loops never stop on NaN, and a NaN or infinite prune drops every state."""
-    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
-        bound = ">= 0" if zero_ok else "> 0"
-        raise ValidationError(f"{name} must be finite and {bound}, got {value}")
+def _ln_zero_success_lower_bound(tp: TrustParams) -> float:
+    """ln d = ln(1-c) + dilog(1-c)/ln(c), both logarithms to full precision
+    however close c lies to 0 or 1."""
+    c = max(tp.p0, tp.l)  # in (0, 1): TrustParams holds 0 < p0 < 1 and 0 <= l < 1
+    rest = 1 - c
+    if float(rest) < sys.float_info.min:  # ln d < ln(1-c): below the float range
+        return -math.inf
+    (a, ka), (b, kb) = _ln_split(1 / rest), _ln_split(1 / c)
+    return -float(a) * ka - dilog(float(rest)) / (float(b) * kb)
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Require a finite tolerance >= 0: a NaN or infinite prune drops every
+    state."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
 def check_monte_carlo(trials: int, seed: int, *, prefix: str = "") -> None:
@@ -315,24 +343,7 @@ class Policy:
         return self.decision_mask(step, kernel.fails[states], kernel.boosts[states])
 
 
-class _StepRule(Policy):
-    """A policy whose decision depends on the step alone, `_recommends(step)`."""
-
-    def decision_mask(self, step, fails, boosts):
-        return np.full(np.shape(fails), self._recommends(step))
-
-    def _on_states(self, step, kernel, states):
-        return np.full(states.shape, self._recommends(step))
-
-
-class AllPolicy(_StepRule):
-    name = "all"
-
-    def _recommends(self, step: int) -> bool:
-        return True
-
-
-class EveryK(_StepRule):
+class EveryK(Policy):
     """Recommend every k-th step (steps k, 2k, ...): floor(n/k) times in n steps."""
 
     def __init__(self, k: int):
@@ -341,8 +352,19 @@ class EveryK(_StepRule):
         self.k = k
         self.name = f"every-{k}"
 
-    def _recommends(self, step: int) -> bool:
-        return step % self.k == 0
+    def decision_mask(self, step, fails, boosts):
+        return np.full(np.shape(fails), step % self.k == 0)
+
+    def _on_states(self, step, kernel, states):
+        return np.full(states.shape, step % self.k == 0)
+
+
+class AllPolicy(EveryK):
+    """Recommend at every step: every-k with k = 1."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.name = "all"
 
 
 class OptimalPolicy(Policy):
@@ -530,7 +552,7 @@ def expected_curve(tp: TrustParams, policy: Policy, n: int, *, prune: float = 0.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    check_tolerance("prune", prune, zero_ok=True)
+    check_tolerance("prune", prune)
     k = _kernel(tp, n)
     rf = float(tp.r)
     live = np.zeros(1, dtype=np.intp)  # states with probability, and that probability
@@ -564,7 +586,7 @@ def every_k_reward(tp: TrustParams, k: int, n: int, *, prune: float = 0.0) -> Re
     policy = EveryK(k)
     if n < 1:
         raise ValidationError("n must be >= 1")
-    check_tolerance("prune", prune, zero_ok=True)
+    check_tolerance("prune", prune)
     if not tp.reset:
         raise ValidationError("the every-k curve is defined for the reset process")
     # k > n never recommends within the horizon; both branches are all-zero

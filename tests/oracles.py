@@ -1,8 +1,11 @@
-"""Brute-force reference implementations the tests compare the library against."""
+"""Brute-force reference implementations the tests compare the library
+against, and a guard that fails a test instead of letting it hang."""
 
 import csv
 import io
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations
@@ -279,6 +282,39 @@ def clamp_columns(l: Fraction, g: Fraction, rows: int, cap: int) -> list[int]:
     return col
 
 
+def decay_series_oracle(p0, l) -> tuple[float, float, float]:
+    """The no-recovery decay series at x_i = p0 * l^i from exact partial
+    sums: the sum of x_i/(1-x_i) (the no-reset total at r = 1), the product
+    q of (1-x_i) (the never-succeed probability) and (1-q)/q (the with-reset
+    total at r = 1), each rounded to float once at the end.
+
+    The partial sums stop after the first term t with t * l/(1-l) < 1e-30:
+    each term is at most l times the one before, so the rest of the sum is
+    below that, and the rest of the product a factor within it of 1.  The
+    terms are exact Fractions p0 l^i, kept as integer pairs and added by
+    binary splitting, so the sums take a few large products, not one gcd
+    per term.
+    """
+    p0, l = Fraction(p0), Fraction(l)
+    a, b, c, d = p0.numerator, p0.denominator, l.numerator, l.denominator
+    n, x = 1, p0
+    while l and x / (1 - x) * l / (1 - l) >= Fraction(1, 10**30):
+        n, x = n + 1, x * l
+
+    def split(lo: int, hi: int) -> tuple[int, int]:
+        # the sum over lo <= i < hi, as num/den with den = prod of b d^i - a c^i
+        if hi - lo == 1:
+            num = a * c**lo
+            return num, b * d**lo - num
+        mid = (lo + hi) // 2
+        (sn, sd), (tn, td) = split(lo, mid), split(mid, hi)
+        return sn * td + tn * sd, sd * td
+
+    num, den = split(0, n)
+    q_den = b**n * d ** (n * (n - 1) // 2)  # prod of b d^i: q = den / q_den
+    return num / den, den / q_den, (q_den - den) / den
+
+
 def trust_moves(tp: TrustParams, state: tuple[int, int]) -> dict[str, tuple[int, int]]:
     """The state (fails, boosts) after a skip, a failure and a success, with
     the clamp decided on exact Fractions."""
@@ -429,3 +465,20 @@ def read_curve_csv(text: str) -> list[RewardCurve]:
             RewardCurve(policy, values, None if all(e is None for e in errs) else errs)
         )
     return curves
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail instead of hanging: a pivot that leaves a stale reduced-cost row
+    can make Bland's rule re-enter the same column forever, and a series
+    summed term by term runs for hours as l -> 1."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -261,6 +261,8 @@ def test_price_rejects_top_level_array(tmp_path, capsys):
          "delta must be >= 0, got ~-1e+5000"),
         ('{"players": ["s", "r1"], "scenario": "threshold", "k": 1' + "0" * 5000
          + ', "p": 0.5, "delta": 1, "q": 0.1}', "Exceeds the limit (4300 digits)"),
+        ('{"players": ["s", "r1"], "scenario": "threshold", "k": 2e5000, "p": 0.5, "delta": 1,'
+         ' "q": 0.1}', "threshold k must be an integer, got ~2e+5000"),
     ],
 )
 def test_price_huge_exponents_end_in_one_line(tmp_path, capsys, spec, message):

@@ -1,6 +1,4 @@
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -11,7 +9,7 @@ import fairprice as fp
 from fairprice import LinearSystem, ValidationError, corelp
 from fairprice.corelp import satisfies
 from fairprice.verification import _brute_force_in_core, random_table_game
-from oracles import dense_simplex_oracle, satisfies_oracle
+from oracles import dense_simplex_oracle, satisfies_oracle, time_limit
 
 
 def test_lp_trivially_infeasible():
@@ -74,22 +72,6 @@ def test_lp_planted_instances():
             res = fp.lp_feasible(sys_)
             assert not res.feasible
             assert fp.certificate_refutes(sys_, res.certificate)
-
-
-@contextmanager
-def time_limit(seconds: float):
-    """Fail instead of hanging: a pivot that leaves a stale reduced-cost row
-    can make Bland's rule re-enter the same column forever."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)

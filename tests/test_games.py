@@ -92,6 +92,10 @@ def test_worth_rejects_unknown_ids():
         lambda: build_threshold("0.5", 1, 2, 0, "0.1"),  # k < 1
         lambda: build_threshold("0.5", 1, 2, 1, "0.6"),  # p + q > 1
         lambda: build_threshold("0.5", 1, 2, 1, "0.1", recommenders=["r1"]),  # 1 id for n = 2
+        lambda: build_threshold("0.5", 1, 3, 2.5, "0.1"),  # k not an int
+        lambda: build_threshold("0.5", 1, 3, True, "0.1"),
+        lambda: build_threshold("0.5", 1, 3.0, 1, "0.1"),  # n not an int
+        lambda: build_threshold("0.5", 1, 3.0, 1, "0.1", recommenders=["r1", "r2", "r3"]),
         lambda: build_linear("0.5", 1, ["0.1"], recommenders=["r1", "r2"]),  # 1 q for 2 ids
         lambda: build_general("0.5", 1, {("s",): "0.1"}, recommenders=["r1"]),  # f({s}) != 0
         lambda: build_general("0.5", 1, {("s", "r1"): "0.7"}, recommenders=["r1"]),  # > 1-p

@@ -47,6 +47,7 @@ def test_load_general_f_table():
         '{"players": ["s", "r1"], "scenario": "magic", "p": 0, "delta": 1}',
         '{"players": ["s", "r1"], "scenario": "linear", "p": 0, "delta": 1, "q": [0.1, 0.2]}',
         '{"players": ["s", "r1"], "scenario": "threshold", "p": 0, "delta": 1, "k": "two", "q": 0.1}',
+        '{"players": ["s", "r1", "r2"], "scenario": "threshold", "p": 0, "delta": 1, "k": 2.5, "q": 0.1}',
         '{"players": ["s", "r1"], "scenario": "general", "p": 0, "delta": 1, "f": {"bogus": 0.1}}',
         '{"players": ["s", "r1"], "scenario": "linear", "p": "1/0", "delta": 1, "q": [0]}',
         '{"players": ["s", "r1"], "scenario": "general", "p": 0, "delta": 1, "f": [0.1]}',

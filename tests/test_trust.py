@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     clamp_columns,
+    decay_series_oracle,
     dense_dp_oracle,
     history_tree_oracle,
     reachable_states,
     state_dp_oracle,
+    time_limit,
     trust_moves,
 )
 
@@ -325,19 +327,80 @@ def test_series_wrong_regime_rejected(fig2_reset):
         fp.no_reset_total(fig2_reset)
     with pytest.raises(ValidationError):
         fp.no_reset_total(TrustParams("0.5", "0.5", "1.2", 1, reset=False))
-    with pytest.raises(ValidationError):
-        fp.no_reset_total(TrustParams("0.5", "0.5", 1, 1, reset=False), tol=0)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
-def test_truncation_tolerance_must_be_finite_and_positive(fig2_reset, fig2_no_reset, tol):
-    # NaN never ended these loops: `term < nan` is false forever
-    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
-        fp.no_reset_total(fig2_no_reset, tol=tol)
-    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
-        fp.zero_success_probability(fig2_reset, tol=tol)
-    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
-        fp.with_reset_total(fig2_reset, tol=tol)
+@pytest.mark.parametrize(
+    "p0, l", [(F(i, 10), F(j, 10)) for i in range(1, 10) for j in range(10)] + [(F(1, 2), F(33, 50))],
+    ids=lambda x: f"{float(x):g}")
+def test_closed_forms_match_exact_series(p0, l):
+    total, q, reset_total = decay_series_oracle(p0, l)
+    no_reset, reset = TrustParams(p0, l, 1, 1, reset=False), TrustParams(p0, l, 1, 1, reset=True)
+    assert fp.no_reset_total(no_reset) == pytest.approx(total, rel=1e-13, abs=0)
+    assert fp.zero_success_probability(reset) == pytest.approx(q, rel=1e-13, abs=0)
+    assert fp.with_reset_total(reset) == pytest.approx(reset_total, rel=1e-13, abs=0)
+
+
+def test_closed_forms_near_l_one_stay_finite_or_refuse():
+    # 1 - l = 1e-4 needs ~4.6e5 terms, under the cap: the no-reset total is
+    # finite, but e^S, S ~ 5822, lies far beyond the float range
+    near = F(9999, 10000)
+    assert 6931 < fp.no_reset_total(TrustParams("0.5", near, 1, 1, reset=False)) < 6932
+    tp = TrustParams("0.5", near, 1, 1, reset=True)
+    for f in (fp.with_reset_total, fp.zero_success_probability):
+        with pytest.raises(ResourceCapError, match="^result e\\^-?5822.46 lies beyond the float range$"):
+            f(tp)
+    # 1 - l = 1e-6 needs ~5e7 terms: refused before the first
+    for reset in (False, True):
+        tp = TrustParams("0.5", "0.999999", 1, 1, reset=reset)
+        f = fp.with_reset_total if reset else fp.no_reset_total
+        with pytest.raises(ResourceCapError, match="needs more than 1048576 series terms"):
+            f(tp)
+
+
+def test_closed_forms_refuse_at_once_as_l_tends_to_one():
+    for l in (1 - F(1, 10**9), 1 - F(1, 10**400)):
+        with time_limit(2):
+            for reset in (False, True):
+                tp = TrustParams("0.5", l, 1, 1, reset=reset)
+                closed_forms = ([fp.with_reset_total, fp.zero_success_probability,
+                                 fp.with_reset_total_bound, fp.zero_success_lower_bound]
+                                if reset else [fp.no_reset_total])
+                for f in closed_forms:
+                    with pytest.raises(ResourceCapError):
+                        f(tp)
+
+
+def test_bounds_in_logs_never_divide_by_zero():
+    # at l = 0.999 the lower bound e^-1643 lies below the float range and the
+    # reward bound beyond it, while the with-reset total e^582 lies within
+    tp = TrustParams("0.5", "0.999", 1, 1, reset=True)
+    assert fp.with_reset_total(tp) == pytest.approx(7.7258448942716e252, rel=1e-9)
+    with pytest.raises(ResourceCapError, match="^result e\\^-1643.11 lies beyond the float range$"):
+        fp.zero_success_lower_bound(tp)
+    with pytest.raises(ResourceCapError, match="^result e\\^1643.11 lies beyond the float range$"):
+        fp.with_reset_total_bound(tp)
+
+
+def test_reset_total_in_range_although_e_to_the_s_overflows():
+    # S ~ 776 at 1 - l = 7.5e-4: e^S overflows, (e^S - 1) r does not for small r
+    small, smaller = (TrustParams("0.5", "0.99925", 1, F(1, 10**k), reset=True) for k in (100, 150))
+    assert fp.with_reset_total(small) == pytest.approx(fp.with_reset_total(smaller) * 1e50, rel=1e-12)
+    assert 1e100 < fp.with_reset_total(small) < 1e300
+
+
+def test_closed_forms_refuse_p0_that_rounds_to_zero_or_one():
+    # the series start from float(p0), which is 1.0 or 0.0 here
+    for p0 in (1 - F(1, 10**20), F(1, 10**400)):
+        for reset in (False, True):
+            tp = TrustParams(p0, "0.5", 1, 1, reset=reset)
+            f = fp.with_reset_total if reset else fp.no_reset_total
+            with pytest.raises(ResourceCapError, match="too close to 0 or 1 for the float range"):
+                f(tp)
+    # c = max(p0, l) = 1e-400: d rounds to 1, and (1-d)/d * r lies below the float range
+    tiny = TrustParams(F(1, 10**400), 0, 1, 1, reset=True)
+    assert fp.zero_success_lower_bound(tiny) == 1.0
+    with pytest.raises(ResourceCapError, match="^result e\\^-inf lies beyond the float range$"):
+        fp.with_reset_total_bound(tiny)
 
 
 @pytest.mark.parametrize("prune", [math.nan, math.inf, -1e-12])
