@@ -205,7 +205,7 @@ def cmd_price(args) -> int:
 
 def _policy_curve(args, tp: trust.TrustParams):
     """The policy named by --policy and its curve: the DP's for optimal, else
-    the exact expectation (closed form for every-k with reset when it applies)."""
+    the exact expectation (closed form for every-k when it applies)."""
     from . import trust
 
     if args.policy == "optimal":
@@ -213,17 +213,14 @@ def _policy_curve(args, tp: trust.TrustParams):
         return policy, curve
     if args.policy == "all":
         policy = trust.AllPolicy()
-    elif args.policy.startswith("every-k:"):
+        return policy, trust.expected_curve(tp, policy, args.n, prune=args.tol)
+    if args.policy.startswith("every-k:"):
         try:
             k = int(args.policy.split(":", 1)[1])
         except ValueError:
             raise ValidationError(f"bad every-k policy {args.policy!r}")
-        policy = trust.EveryK(k)
-        if tp.reset:
-            return policy, trust.every_k_reward(tp, k, args.n, prune=args.tol)
-    else:
-        raise ValidationError(f"unknown policy {args.policy!r} (use all, optimal, every-k:<k>)")
-    return policy, trust.expected_curve(tp, policy, args.n, prune=args.tol)
+        return trust.EveryK(k), trust.every_k_reward(tp, k, args.n, prune=args.tol)
+    raise ValidationError(f"unknown policy {args.policy!r} (use all, optimal, every-k:<k>)")
 
 
 def cmd_simulate(args) -> int:

@@ -23,6 +23,7 @@ from .games import (
     PayoffVector,
     ScenarioMeta,
     check_size,
+    coalition_items,
     popcounts,
     scatter_table,
 )
@@ -93,8 +94,7 @@ class ArgumentGame(NamedTuple):
     ) -> "ArgumentGame":
         args = frozenset(arguments)
         table: dict[Coalition, Fraction] = {}
-        for key, raw in worths.items():
-            s = frozenset([key] if isinstance(key, str) else key)
+        for s, raw in coalition_items(worths.items(), "worth key"):
             if not s <= args:
                 raise ValidationError(f"worth key {sorted(s)} uses unknown arguments")
             v = as_fraction(raw, f"worth[{sorted(s)}]")

@@ -27,7 +27,7 @@ import math
 import os
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ResourceCapError, ValidationError
 from .rational import Rational, as_fraction, brief_str
@@ -199,6 +199,19 @@ class Game:
         return self.scenario.sale_probability
 
 
+def coalition_items(items: Iterable[tuple[Any, Any]], what: str) -> Iterator[tuple[Coalition, Any]]:
+    """(coalition, value) for each (key, value) of a worth or uplift table,
+    a key being one id or an iterable of ids; ValidationError where two keys
+    name one coalition, which a dict would read as last-wins."""
+    seen = set()
+    for key, raw in items:
+        s = frozenset([key] if isinstance(key, str) else key)
+        if s in seen:
+            raise ValidationError(f"{what} {sorted(s)} is given twice")
+        seen.add(s)
+        yield s, raw
+
+
 def _default_ids(n: int) -> list[str]:
     return [f"r{i}" for i in range(1, n + 1)]
 
@@ -299,8 +312,7 @@ def build_general(
     valid = frozenset(rec_ids) | {seller}
 
     table: dict[Coalition, Fraction] = {}
-    for key, raw in uplift.items():
-        s = frozenset([key] if isinstance(key, str) else key)
+    for s, raw in coalition_items(uplift.items(), "uplift key"):
         if not s <= valid:
             raise ValidationError(f"uplift key {sorted(s)} uses unknown player ids")
         if seller not in s:
@@ -341,8 +353,7 @@ def from_table(
     ids = frozenset(recs) | {seller}
 
     table: dict[Coalition, Fraction] = {}
-    for key, raw in worths.items():
-        s = frozenset([key] if isinstance(key, str) else key)
+    for s, raw in coalition_items(worths.items(), "worth key"):
         if not s <= ids:
             raise ValidationError(f"worth key {sorted(s)} uses unknown player ids")
         v = as_fraction(raw, f"worth[{sorted(s)}]")

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import ResourceCapError, ValidationError
 from .fair_division import ArgumentGame
-from .games import Game, build_general, build_linear, build_threshold, check_size
+from .games import Game, build_general, build_linear, build_threshold, check_size, coalition_items
 from .rational import as_fraction, brief_str, decimal_str, frac_str
 
 if TYPE_CHECKING:
@@ -36,13 +36,33 @@ CSV_HEADER = ["step", "policy", "expected_cumulative_reward", "stderr"]
 def _loads(text: str, where: str) -> Any:
     try:
         # parse_float=Fraction keeps JSON decimals exact (base-10 scaling)
-        return json.loads(text, parse_float=Fraction)
+        return json.loads(text, parse_float=Fraction, object_pairs_hook=_members)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}")
     except ValueError as exc:  # an integer literal past int()'s digit limit
         raise ValidationError(f"{where}: invalid JSON: {exc}")
     except RecursionError:
         raise ValidationError(f"{where}: invalid JSON: nested too deeply")
+
+
+def _members(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object; ValidationError where a member name repeats, which
+    json.loads would read as last-wins."""
+    doc = {}
+    for name, value in pairs:
+        if name in doc:
+            raise ValidationError(f"member {name!r} is given twice")
+        doc[name] = value
+    return doc
+
+
+def _coalitions(raw: dict, what: str, *extra: str) -> dict:
+    """A table keyed by comma-joined ids, keyed by coalitions of those ids
+    plus `extra`; ValidationError where two keys name one coalition."""
+    return dict(coalition_items(
+        (([x for x in key.split(",") if x] + list(extra), val) for key, val in raw.items()), what))
 
 
 def _document(src: str | dict, where: str) -> dict:
@@ -93,10 +113,7 @@ def load_game(src: str | dict, where: str = "game spec") -> Game:
         f_raw = doc.get("f", {})
         if not isinstance(f_raw, dict):
             raise ValidationError(f"{where}: 'f' must be an object")
-        uplift = {}
-        for key, val in f_raw.items():
-            recs = [x for x in key.split(",") if x]
-            uplift[frozenset(recs) | {seller}] = val
+        uplift = _coalitions(f_raw, "uplift key", seller)
         return build_general(p, delta, uplift, seller=seller, recommenders=recommenders)
     raise ValidationError(f"{where}: unknown scenario {scenario!r}")
 
@@ -111,7 +128,7 @@ def load_argument_game(src: str | dict, where: str = "argument spec") -> Argumen
         raise ValidationError(f"{where}: 'arguments' must be an array of strings")
     if not isinstance(worths_raw, dict) or not isinstance(ownership_raw, dict):
         raise ValidationError(f"{where}: 'worths' and 'ownership' must be objects")
-    worths = {frozenset(x for x in key.split(",") if x): val for key, val in worths_raw.items()}
+    worths = _coalitions(worths_raw, "worth key")
     ownership = {}
     for rec, lst in ownership_raw.items():
         if not isinstance(lst, list) or not all(isinstance(a, str) for a in lst):

@@ -111,7 +111,7 @@ def no_reset_total(tp: TrustParams) -> float:
     """Exact-series total reward without reset: sum of l^i p0/(1 - l^i p0) * r,
     to float resolution; ResourceCapError past the term cap or float range."""
     _require_plain_decay(tp, reset=False)
-    return _float_result(math.log(_decay_series(tp, lambda x: x / (1.0 - x))) + _ln(tp.r))
+    return _float_result(math.log(_decay_series(tp, lambda x, y: x / y)) + _ln(tp.r))
 
 
 def zero_success_probability(tp: TrustParams) -> float:
@@ -119,20 +119,28 @@ def zero_success_probability(tp: TrustParams) -> float:
     the product q of (1 - l^k p0) over k >= 0, as e^-S for S = -ln q, to
     float resolution; ResourceCapError past the term cap or float range."""
     _require_plain_decay(tp, reset=True)
-    return _float_result(-_decay_series(tp, lambda x: -math.log1p(-x)))
+    return _float_result(-_decay_series(tp, _neg_log1m))
 
 
 def with_reset_total(tp: TrustParams) -> float:
     """Total expected reward with reset, the fixed point (1-q)/q * r = (e^S - 1) * r;
     ResourceCapError past the term cap or float range."""
     _require_plain_decay(tp, reset=True)
-    return _reward_fixed_point(_decay_series(tp, lambda x: -math.log1p(-x)), tp.r)
+    return _reward_fixed_point(_decay_series(tp, _neg_log1m), tp.r)
+
+
+def _neg_log1m(x: float, y: float) -> float:
+    """-ln(1-x) given y = 1 - x: log1p of x below 1/2, where y near 1 keeps
+    too few digits of ln y, and ln y above, where y keeps digits x has lost."""
+    return -math.log1p(-x) if x < 0.5 else -math.log(y)
 
 
 def _decay_series(tp: TrustParams, f) -> float:
-    """The sum of f(p0 * l^i) over i >= 0 for a convex f with f(0) = 0: as
-    f(l x) <= l f(x), the tail after a term t is at most t * l/(1-l), and the
-    sum stops once adding that bound would leave the running sum unchanged."""
+    """The sum of f(x, 1 - x) at x = p0 * l^i over i >= 0 for a convex f with
+    f(0, 1) = 0: as f(l x) <= l f(x), the tail after a term t is at most
+    t * l/(1-l), and the sum stops once adding that bound would leave the
+    running sum unchanged.  The first 1 - x is the exact 1 - p0 rounded
+    once, so p0 near 1 keeps the digits float(p0) drops."""
     x = float(tp.p0)
     if not sys.float_info.min <= x < 1.0:
         raise ResourceCapError(f"p0 = {brief_str(tp.p0)} lies too close to 0 or 1 for the float range")
@@ -143,13 +151,14 @@ def _decay_series(tp: TrustParams, f) -> float:
             f"l = {brief_str(tp.l)} needs more than {SERIES_TERM_CAP} series terms (the cap)")
     lf = float(tp.l)
     ratio = lf / (1.0 - lf)
-    total = 0.0
+    total, y = 0.0, float(1 - tp.p0)
     while True:
-        term = f(x)
+        term = f(x, y)
         total += term
         if total + term * ratio == total:
             return total
         x *= lf
+        y = 1.0 - x
 
 
 def _reward_fixed_point(s: float, r: Fraction) -> float:
@@ -166,60 +175,53 @@ def _float_result(ln_x: float) -> float:
     return math.exp(ln_x)
 
 
+def _float_reward(tp: TrustParams) -> float:
+    """float(r) for a reward curve; ResourceCapError where r lies below the
+    normal float range, so a curve never reads a reward of 0."""
+    if tp.r < sys.float_info.min:
+        raise ResourceCapError(f"reward r = {brief_str(tp.r)} lies beyond the float range")
+    return float(tp.r)
+
+
+def _in_float_range(curve: RewardCurve) -> RewardCurve:
+    """The curve; ResourceCapError where its final value (rewards accumulate,
+    so the largest) or a standard error overflows the float range."""
+    if not all(x <= sys.float_info.max for x in (curve.final, *(curve.stderr or ()))):
+        raise ResourceCapError(f"the {curve.policy} reward curve lies beyond the float range")
+    return curve
+
+
 def dilog(x: float) -> float:
-    """The integral of -ln(t)/(1-t) from x to 1 (equals Li2(1-x)).
+    """Li2(1-x), the integral of -ln(t)/(1-t) from x to 1.
 
     Nonnegative and decreasing on [0, 1]; dilog(0) = pi^2/6, dilog(1) = 0.
-    It is pi^2/6 less the integral from 0 to x, which t = x e^(-v) turns into
-    x times the integral over v >= 0 of e^(-v) s/(1 - e^(-s)), s = v - ln x.
-    A fixed 32-node Gauss-Laguerre rule evaluates that within ~2e-14 for
-    every x; `dilog_series` is the independent series evaluation used as a
-    cross-check.
+    The power series of Li2(z) = sum z^k/k^2 is summed at z = 1 - x when
+    x >= 1/2, and otherwise at z = x through the reflection identity
+    Li2(1-x) = pi^2/6 - ln(x) ln(1-x) - Li2(x), so it always converges at
+    least as fast as 2^-k and x's own digits are never lost to 1 - x.
+    `dilog_series` is another name for this function.
     """
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"dilog argument must lie in [0, 1], got {x}")
-    if x == 1.0:
-        return 0.0
+    if x >= 0.5:
+        return _li2_power_series(1.0 - x)
     if x == 0.0:
         return math.pi**2 / 6.0
-    nodes, weights = _laguerre_rule()
-    s = nodes - math.log(x)
-    # near x = 1 the rule's sum falls ~2e-14 short of pi^2/6, far more than
-    # the rounding error, so the difference stays >= 0
-    return math.pi**2 / 6.0 - x * float(weights @ (s / -np.expm1(-s)))
+    return math.pi**2 / 6.0 - math.log(x) * math.log1p(-x) - _li2_power_series(x)
 
 
-@lru_cache(maxsize=1)
-def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.laguerre.laggauss(32)
-
-
-def dilog_series(x: float) -> float:
-    """Series evaluation of Li2(1-x), via the reflection identity when the
-    argument is above 1/2 so the power series always converges fast."""
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"dilog argument must lie in [0, 1], got {x}")
-    z = 1.0 - x
-    if z == 0.0:
-        return 0.0
-    if z == 1.0:
-        return math.pi**2 / 6.0
-    if z <= 0.5:
-        return _li2_power_series(z)
-    return math.pi**2 / 6.0 - math.log(z) * math.log(1.0 - z) - _li2_power_series(1.0 - z)
+dilog_series = dilog
 
 
 def _li2_power_series(z: float) -> float:
-    total = 0.0
-    term = z
-    k = 1
+    """The sum of z^k/k^2 over k >= 1, 0 <= z <= 1/2, stopped once adding a
+    term leaves the sum unchanged."""
+    total, power, k = 0.0, z, 1
     while True:
-        contrib = term / (k * k)
-        total += contrib
-        if contrib < 1e-18:
+        grown = total + power / (k * k)
+        if grown == total:
             return total
-        k += 1
-        term *= z
+        total, power, k = grown, power * z, k + 1
 
 
 def zero_success_lower_bound(tp: TrustParams) -> float:
@@ -553,8 +555,8 @@ def expected_curve(tp: TrustParams, policy: Policy, n: int, *, prune: float = 0.
     if n < 1:
         raise ValidationError("n must be >= 1")
     check_tolerance("prune", prune)
+    rf = _float_reward(tp)
     k = _kernel(tp, n)
-    rf = float(tp.r)
     live = np.zeros(1, dtype=np.intp)  # states with probability, and that probability
     mass = np.ones(1)
     cum = 0.0
@@ -570,15 +572,16 @@ def expected_curve(tp: TrustParams, policy: Policy, n: int, *, prune: float = 0.
         live = np.flatnonzero(acc >= prune if prune else acc)
         mass = acc[live]
         values.append(cum)
-    return RewardCurve(policy.name, tuple(values))
+    return _in_float_range(RewardCurve(policy.name, tuple(values)))
 
 
 def every_k_reward(tp: TrustParams, k: int, n: int, *, prune: float = 0.0) -> RewardCurve:
     """Expected cumulative reward of the every-k policy, per step.
 
     When one failure is fully recovered within the k-1 intervening skips
-    (l * g^(k-1) >= 1) every recommendation happens at full trust and the
-    curve is exactly floor(t/k) * p0 * r, returned as exact rationals.
+    (l * g^(k-1) >= 1) every recommendation happens at full trust, whether
+    or not a success resets trust, and the curve is exactly
+    floor(t/k) * p0 * r, returned as exact rationals.
     Otherwise the schedule behaves like undiluted decay at rate
     l * g^(k-1) and the curve is evaluated as an exact-state expectation in
     float64, `expected_curve` with the given `prune`.
@@ -587,13 +590,13 @@ def every_k_reward(tp: TrustParams, k: int, n: int, *, prune: float = 0.0) -> Re
     if n < 1:
         raise ValidationError("n must be >= 1")
     check_tolerance("prune", prune)
-    if not tp.reset:
-        raise ValidationError("the every-k curve is defined for the reset process")
     # k > n never recommends within the horizon; both branches are all-zero
     if k > n or _frontier(tp.l, tp.g, 2, k - 1)[1] <= k - 2:
-        _layout(tp, n)  # the same horizon bound as every other curve
+        _float_reward(tp)  # the same reward and horizon bounds as every other curve
+        _layout(tp, n)
         per = tp.p0 * tp.r
-        return RewardCurve(policy.name, tuple(Fraction(t // k) * per for t in range(1, n + 1)))
+        values = tuple(Fraction(t // k) * per for t in range(1, n + 1))
+        return _in_float_range(RewardCurve(policy.name, values))
     return expected_curve(tp, policy, n, prune=prune)
 
 
@@ -601,6 +604,7 @@ def every_k_reward(tp: TrustParams, k: int, n: int, *, prune: float = 0.0) -> Re
 # Finite-horizon dynamic program
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing curve is refused at the end
 def dp_optimal(
     tp: TrustParams, n: int, *, cap: int = DEFAULT_DP_CAP
 ) -> tuple[RewardCurve, OptimalPolicy]:
@@ -618,8 +622,8 @@ def dp_optimal(
         raise ValidationError("n must be >= 1")
     if n > cap:
         raise ResourceCapError(f"horizon {n} exceeds the DP cap of {cap}")
+    rf = _float_reward(tp)
     k = _kernel(tp, n)
-    rf = float(tp.r)
     v = np.zeros(k.depth_end[n])
     tables: list[np.ndarray | None] = [None]
     curve = []
@@ -632,13 +636,14 @@ def dp_optimal(
         tables.append(v_rec > v_skip)  # strict: ties go to skip
         v = np.maximum(v_skip, v_rec)
         curve.append(float(v[0]))
-    return RewardCurve("optimal", tuple(curve)), OptimalPolicy(k, tables)
+    return _in_float_range(RewardCurve("optimal", tuple(curve))), OptimalPolicy(k, tables)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing curve is refused at the end
 def mc_simulate(
     tp: TrustParams, policy: Policy, n: int, trials: int, seed: int
 ) -> RewardCurve:
@@ -653,9 +658,9 @@ def mc_simulate(
     if n < 1:
         raise ValidationError("n must be >= 1")
     check_monte_carlo(trials, seed)
+    rf = _float_reward(tp)
     rng = np.random.Generator(np.random.PCG64(seed))
     k = _kernel(tp, n)
-    rf = float(tp.r)
     moves = np.concatenate([k.skip, k.fail, k.succ])
 
     s = np.zeros(trials, dtype=np.intp)
@@ -673,4 +678,5 @@ def mc_simulate(
         means[step - 1] = cum.mean()
         errs[step - 1] = cum.std(ddof=1) / scale if trials > 1 else 0.0
 
-    return RewardCurve(f"{policy.name}:mc", tuple(means.tolist()), tuple(errs.tolist()))
+    return _in_float_range(
+        RewardCurve(f"{policy.name}:mc", tuple(means.tolist()), tuple(errs.tolist())))

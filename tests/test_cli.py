@@ -323,6 +323,35 @@ def test_simulate_huge_exponents_end_in_one_line(capsys, flags, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--r", "1e-400", "--n", "3", "--policy", "all", "--reset"],
+     "reward r = ~1e-400 lies beyond the float range"),
+    (["--r", "1.7e308", "--n", "3", "--policy", "all", "--reset"],
+     "the all reward curve lies beyond the float range"),
+    (["--g", "1.33", "--r", "1e308", "--n", "20", "--policy", "every-k:3"],
+     "the every-3 reward curve lies beyond the float range"),
+    (["--r", "1.7e308", "--n", "3", "--policy", "optimal"],
+     "the optimal reward curve lies beyond the float range"),
+    (["--r", "1e200", "--n", "3", "--policy", "all", "--trials", "10"],
+     "the all:mc reward curve lies beyond the float range"),
+], ids=["underflow", "overflow", "every-k-exact", "optimal", "mc-stderr"])
+def test_simulate_rewards_beyond_the_float_range_end_in_one_line(capsys, flags, message):
+    # these printed a curve of zeros or inf and exited 0, or raised a raw OverflowError
+    assert main(["simulate", "--p0", "0.5", "--l", "0.66", *flags]) == 3
+    std = capsys.readouterr()
+    assert std.out == "" and std.err == f"error: {message}\n"
+
+
+def test_price_refuses_a_coalition_named_twice(tmp_path, capsys):
+    # the spec used to price with the last value, 1/5
+    path = tmp_path / "twice.json"
+    path.write_text('{"players": ["s", "r1", "r2"], "scenario": "general", "p": "1/4", "delta": 4,'
+                    ' "f": {"r1,r2": "1/2", "r2,r1": "1/5"}}', encoding="utf-8")
+    assert main(["price", "--game", str(path), "--method", "shapley"]) == 2
+    std = capsys.readouterr()
+    assert std.out == "" and std.err == "error: uplift key ['r1', 'r2', 's'] is given twice\n"
+
+
 def test_simulate_single_step_optimal(capsys):
     code, out = run(
         ["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33", "--r", "1",

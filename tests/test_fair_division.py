@@ -159,7 +159,8 @@ def test_overlapping_ownership_rejected():
     ({("a",): -1}, {"r1": ["a"]}, "argument worth must be >= 0, got -1"),
     ({(): 1}, {"r1": ["a"]}, "the empty argument set must have worth 0"),
     ({("a",): 1}, {"r1": ["a", "z"]}, "ownership of 'r1' uses unknown arguments"),
-], ids=["unknown-key", "negative-worth", "empty-worth", "unknown-owned"])
+    ({("a", "b"): 1, ("b", "a"): 7}, {"r1": ["a"]}, "worth key ['a', 'b'] is given twice"),
+], ids=["unknown-key", "negative-worth", "empty-worth", "unknown-owned", "named-twice"])
 def test_argument_game_create_validation(worths, ownership, message):
     with pytest.raises(ValidationError) as exc:
         fp.ArgumentGame.create(["a", "b"], worths, ownership)

@@ -183,6 +183,20 @@ def test_from_table_validation():
         from_table(["s", "r1"], {("s",): 1}).sale_probability()
 
 
+def test_a_coalition_named_twice_is_refused():
+    # two keys for one coalition used to keep the last value
+    with pytest.raises(ValidationError, match=r"^worth key \['r1', 's'\] is given twice$"):
+        from_table(["s", "r1"], {("s", "r1"): 1, ("r1", "s"): 3})
+    with pytest.raises(ValidationError, match=r"^worth key \['s'\] is given twice$"):
+        from_table(["s"], {"s": 1, ("s",): 2})  # one id and its 1-tuple
+    with pytest.raises(ValidationError, match=r"^uplift key \['r1', 'r2', 's'\] is given twice$"):
+        build_general("1/4", 4, {("s", "r1", "r2"): "1/2", ("r2", "r1", "s"): "1/5"},
+                      recommenders=["r1", "r2"])
+    # each coalition once is still read as given
+    g = from_table(["s", "r1"], {("r1", "s"): 3, ("s",): 1})
+    assert g.worth({"s", "r1"}) == 3 and g.worth({"s"}) == 1
+
+
 def test_from_table_players():
     g = from_table(["r1", "s", "r2"], {("s", "r1"): 1}, seller="s")
     assert g.players == ("s", "r1", "r2")

@@ -58,6 +58,25 @@ def test_load_game_rejects_malformed(text):
         load_game(text)
 
 
+GENERAL_R1_R2 = '{"players": ["s", "r1", "r2"], "scenario": "general", "p": "1/4", "delta": 4, '
+ARGUMENTS_AB = '{"arguments": ["a", "b"], "ownership": {"r1": ["a"]}, '
+
+
+@pytest.mark.parametrize("text, message", [
+    (GENERAL_R1_R2 + '"f": {"r1,r2": "1/2", "r2,r1": "1/5"}}', "uplift key ['r1', 'r2', 's'] is given twice"),
+    (GENERAL_R1_R2 + '"f": {"r1": "1/2", "s,r1": "1/5"}}', "uplift key ['r1', 's'] is given twice"),
+    (ARGUMENTS_AB + '"worths": {"a,b": 1, "b,a": 7}}', "worth key ['a', 'b'] is given twice"),
+    (ARGUMENTS_AB + '"worths": {"a,b": 1, "a,,b": 7}}', "worth key ['a', 'b'] is given twice"),
+    (ARGUMENTS_AB + '"worths": {"a,b": 1, "a,b": 7}}', "spec: member 'a,b' is given twice"),
+    (GENERAL_R1_R2 + '"p": "1/2", "f": {}}', "spec: member 'p' is given twice"),
+], ids=["uplift-order", "uplift-seller", "worth-order", "worth-empty-id", "member", "top-member"])
+def test_load_spec_refuses_a_key_given_twice(text, message):
+    # each used to be read as last-wins: the general game priced with 1/5
+    with pytest.raises(ValidationError) as exc:
+        load_spec(text)
+    assert str(exc.value) == message
+
+
 def test_load_argument_game():
     ag = load_argument_game(
         '{"arguments": ["a", "b"], "worths": {"a,b": "1/2", "a": 0.25},'
@@ -86,6 +105,9 @@ def test_load_payoff_vector():
     assert x == {"s": F(1, 2), "r1": F(1, 3)}
     with pytest.raises(ValidationError):
         load_payoff_vector("[]")
+    # used to be read as last-wins
+    with pytest.raises(ValidationError, match="^payoff vector: member 's' is given twice$"):
+        load_payoff_vector('{"s": 1, "r1": 0, "s": 2}')
 
 
 def test_curve_csv_round_trip():

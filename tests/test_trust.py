@@ -23,6 +23,7 @@ from oracles import (
 import fairprice as fp
 from fairprice import TrustParams, ValidationError, trust
 from fairprice.errors import ResourceCapError
+from fairprice.rational import decimal_str
 from fairprice.trust import AllPolicy, EveryK, _frontier, _kernel, expected_curve
 
 
@@ -330,8 +331,10 @@ def test_series_wrong_regime_rejected(fig2_reset):
 
 
 @pytest.mark.parametrize(
-    "p0, l", [(F(i, 10), F(j, 10)) for i in range(1, 10) for j in range(10)] + [(F(1, 2), F(33, 50))],
-    ids=lambda x: f"{float(x):g}")
+    "p0, l", [(F(i, 10), F(j, 10)) for i in range(1, 10) for j in range(10)] + [(F(1, 2), F(33, 50))]
+    # float(p0) keeps only ~1e-16 of 1 - p0 here: the first term must not read it
+    + [(1 - F(e), F(j, 10)) for e in ("3e-16", "1e-12", "1e-9") for j in (0, 5, 9)],
+    ids=lambda x: f"{float(x):g}" if x < F(99, 100) else f"1-{float(1 - x):g}")
 def test_closed_forms_match_exact_series(p0, l):
     total, q, reset_total = decay_series_oracle(p0, l)
     no_reset, reset = TrustParams(p0, l, 1, 1, reset=False), TrustParams(p0, l, 1, 1, reset=True)
@@ -447,6 +450,7 @@ def test_dilog_endpoints_and_value():
 
 
 def test_dilog_monotone_bounded_and_consistent():
+    assert fp.dilog_series is fp.dilog  # two names, one evaluation
     cap = min(2 * math.exp(-1) + 1, math.pi**2 / 6) + 1e-9
     prev = None
     for i in range(101):
@@ -456,11 +460,11 @@ def test_dilog_monotone_bounded_and_consistent():
         if prev is not None:
             assert v <= prev + 1e-12
         prev = v
-        assert abs(v - fp.dilog_series(x)) <= 1e-9
 
 
 def test_dilog_matches_mpmath():
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath  # the reference; a test dependency (pyproject.toml, extras "test")
+
     xs = [i / 200 for i in range(201)] + [10.0**-k for k in range(1, 16)]
     xs += [1e-12, 1e-300, 5e-324] + [1 - 2.0**-k for k in range(1, 54)]
     with mpmath.workdps(40), warnings.catch_warnings():
@@ -469,8 +473,7 @@ def test_dilog_matches_mpmath():
             want = float(mpmath.polylog(2, 1 - mpmath.mpf(x)))
             got = fp.dilog(x)
             assert got >= 0.0, x
-            assert abs(got - want) <= 1e-12, x
-            assert abs(fp.dilog_series(x) - want) <= 1e-12, x
+            assert got == pytest.approx(want, rel=1e-14, abs=0), x
 
 
 def test_lower_bound_frozen(fig2_reset):
@@ -555,9 +558,19 @@ def test_every_one_equals_all_policy(fig2_reset):
     assert k1.values == pytest.approx(all_.values, abs=1e-12)
 
 
-def test_every_k_requires_reset(fig2_no_reset):
-    with pytest.raises(ValidationError):
-        fp.every_k_reward(fig2_no_reset, 3, 10)
+def test_every_k_without_reset_matches_expected_curve():
+    # once l * g^(k-1) >= 1 each failure is recovered before the next
+    # recommendation, so every one is made at p0 with or without reset and
+    # floor(t/k) * p0 * r is exact in both modes; below it every_k_reward
+    # is the expectation itself
+    for p0, l, g, k, recovered in [("0.5", "0.66", "1.33", 3, True), ("0.9", "0.5", 2, 2, True),
+                                   ("0.1", "0.66", "1.33", 4, True), ("0.5", "0.66", "1.33", 2, False),
+                                   ("0.5", "0.66", 1, 3, False)]:
+        tp = TrustParams(p0, l, g, 1, reset=False)
+        curve = fp.every_k_reward(tp, k, 300)
+        direct = expected_curve(tp, EveryK(k), 300)
+        assert all(isinstance(v, F) for v in curve.values) == recovered
+        assert [decimal_str(v) for v in curve.values] == [decimal_str(v) for v in direct.values]
 
 
 @pytest.mark.parametrize("k", [0, 1.5, 2.0, True, "3"])
@@ -568,6 +581,36 @@ def test_every_k_takes_an_integer_k(fig2_recovery, k):
         EveryK(k)
     with pytest.raises(ValidationError, match="^k must be an integer >= 1, got "):
         fp.every_k_reward(fig2_recovery, k, 10)
+
+
+def test_curves_refuse_rewards_beyond_the_float_range():
+    # float(r) = 0 used to give a curve of zeros, and an overflow inf, a raw
+    # OverflowError (every-k's exact values) or NaN standard errors
+    tiny = TrustParams("0.5", "0.66", "1.33", F(1, 10**400), reset=True)
+    huge = tiny._replace(r=F("1.7e308"))
+    curves = {
+        "all": lambda tp: expected_curve(tp, AllPolicy(), 3),
+        "every-3": lambda tp: fp.every_k_reward(tp, 3, 20),  # the exact floor(t/k) branch
+        "every-2": lambda tp: fp.every_k_reward(tp, 2, 6),  # the expectation
+        "optimal": lambda tp: fp.dp_optimal(tp, 3)[0],
+        "all:mc": lambda tp: fp.mc_simulate(tp, AllPolicy(), 3, 10, 1),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        for name, curve in curves.items():
+            for tp in (tiny, tiny._replace(r=F(1, 10**310)), tiny._replace(reset=False)):
+                with pytest.raises(ResourceCapError, match="^reward r = ~1e-(400|310) lies beyond"):
+                    curve(tp)
+            for tp in (huge, huge._replace(reset=False)):
+                with pytest.raises(ResourceCapError,
+                                   match=f"^the {name} reward curve lies beyond the float range$"):
+                    curve(tp)
+    # the standard error squares deviations of r-sized rewards: at r = 1e200 they overflow
+    with pytest.raises(ResourceCapError, match="^the all:mc reward curve lies beyond"):
+        fp.mc_simulate(tiny._replace(r=F("1e200")), AllPolicy(), 3, 10, 1)
+    # in range, up to the smallest normal r and past half the float maximum
+    assert fp.dp_optimal(tiny._replace(r=F(sys.float_info.min)), 3)[0].final > 0
+    assert fp.every_k_reward(huge._replace(r=F("1e308")), 3, 5).final == F("5e307")
 
 
 def test_curves_need_a_step(fig2_recovery):
