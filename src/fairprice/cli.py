@@ -125,6 +125,9 @@ def cmd_price(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise ValidationError("no methods given")
+    for i, method in enumerate(methods):
+        if method in methods[:i]:
+            raise ValidationError(f"method {method!r} is given twice")
     spec = specio.load_spec(text, args.game)
 
     # every method, --payment and --vector are checked before any pricing work

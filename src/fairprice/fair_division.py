@@ -1,19 +1,20 @@
 """Fair payoff rules: Shapley value, argument-level values, Nash bargaining,
 price schedules and a seller-misreport probe.
 
-Player games use the classical Shapley value (subset-sum formula with
-factorial weights, exact rationals).  Argument games use a uniform-weight
-marginal value: every coalition term carries weight 1/n! instead of
-|S|!(n-1-|S|)!/n!.  That is the weighting under which the documented
-argument-game payouts (3/5 & 2/5 under full declaration, 3/4 & 1/4 under
-withholding) come out exactly; it coincides with the classical value for
-up to two declared arguments.
+Player games use the classical Shapley value (factorial weights, exact
+rationals, each coalition's worth summed once).  Argument games use a
+uniform-weight marginal value: every coalition term carries weight 1/n!
+instead of |S|!(n-1-|S|)!/n!, so only the coalitions the game lists are read.
+That is the weighting under which the documented argument-game payouts
+(3/5 & 2/5 under full declaration, 3/4 & 1/4 under withholding) come out
+exactly; it coincides with the classical value for up to two declared arguments.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -22,10 +23,9 @@ from .games import (
     Game,
     PayoffVector,
     ScenarioMeta,
+    as_coalition,
     check_size,
     coalition_items,
-    popcounts,
-    scatter_table,
 )
 from .rational import Rational, as_fraction, brief_str
 
@@ -40,32 +40,22 @@ PAY_PER_SALE = "per-sale"
 def shapley(game: Game) -> PayoffVector:
     """Exact Shapley value: expected marginal contribution over orderings.
 
-    Computed by the subset-sum formula
-        phi_i = sum over S not containing i of
-                |S|! (n-1-|S|)! / n! * (v(S+i) - v(S))
-    in integers over the game's worth table.
+    With w_s = s! (n-1-s)! for s < n and w_n = 0, each worth is summed once,
+    in integers over the game's worth table:
+        phi_i * n! = sum over S holding i of (w_(|S|-1) + w_|S|) v(S)
+                     - sum over all S of w_|S| v(S).
+    The masks holding bit i are every other run of 2^i masks.
     """
     t = game.table()
     n = len(t.ids)
-    weights = [math.factorial(s) * math.factorial(n - 1 - s) for s in range(n)]
-    totals = _marginal_sums(t.nums, weights)
+    w = [math.factorial(s) * math.factorial(n - 1 - s) for s in range(n)] + [0]
+    pair = [w[s - 1] + w[s] for s in range(n + 1)]  # pair[0] is never summed
+    holding = [pair[m.bit_count()] * x for m, x in enumerate(t.nums)]
+    without = sum(w[m.bit_count()] * x for m, x in enumerate(t.nums))
     scale = t.den * math.factorial(n)
-    return {pid: Fraction(x, scale) for pid, x in zip(t.ids, totals)}
-
-
-def _marginal_sums(nums: Sequence[int], weights: Sequence[int]) -> list[int]:
-    """For each bit j: the sum over masks m without bit j of
-    weights[|m|] * (nums[m | 1 << j] - nums[m])."""
-    n = len(weights)
-    size = 1 << n
-    counts = popcounts(n)
-    totals = []
-    for j in range(n):
-        b = 1 << j
-        totals.append(
-            sum(weights[counts[m]] * (nums[m | b] - nums[m]) for m in range(size) if not m & b)
-        )
-    return totals
+    runs = ((bytes(1 << j) + b"\1" * (1 << j)) * (1 << (n - 1 - j)) for j in range(n))
+    return {pid: Fraction(sum(compress(holding, run)) - without, scale)
+            for pid, run in zip(t.ids, runs)}
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +112,9 @@ class ArgumentGame(NamedTuple):
         sets = list(self.ownership.values())
         return frozenset().union(*sets) if sets else frozenset()
 
-    def worth(self, coalition: Iterable[str]) -> Fraction:
-        s = frozenset(coalition)
+    def worth(self, coalition: Iterable[str] | str) -> Fraction:
+        """Worth of an argument coalition; a str is one argument."""
+        s = as_coalition(coalition)
         if not s <= self.arguments:
             raise ValidationError(f"unknown argument(s): {sorted(s - self.arguments)}")
         return self.worths.get(s, Fraction(0))
@@ -133,13 +124,14 @@ def _uniform_marginal_value(worths: Mapping[Coalition, Fraction], ids: Sequence[
     """Per-element value with every coalition term weighted by 1/n!.
 
     `worths` is sparse over subsets of `ids`; missing coalitions are worth 0.
+    Summed over S without a, v(S+a) - v(S) is the worth of the listed
+    coalitions holding a minus the worth of the others, so only they are read.
     """
     n = len(ids)
-    check_size(n, "arguments")
-    den, nums = scatter_table(tuple(ids), worths)
-    totals = _marginal_sums(nums, [1] * n)
-    scale = den * math.factorial(n)
-    return {a: Fraction(x, scale) for a, x in zip(ids, totals)}
+    check_size(n, "arguments")  # bounds the n * |worths| terms and n!
+    n_fact = math.factorial(n)
+    return {a: sum((v if a in s else -v for s, v in worths.items()), Fraction(0)) / n_fact
+            for a in ids}
 
 
 def shapley_arguments(ag: ArgumentGame) -> dict[str, Fraction]:

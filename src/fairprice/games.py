@@ -106,11 +106,6 @@ def subset_sums(values: Iterable[int]) -> list[int]:
     return sums
 
 
-def popcounts(n: int) -> list[int]:
-    """counts[mask] = number of bits set in mask, for every mask over n bits."""
-    return subset_sums([1] * n)
-
-
 class ScenarioMeta(NamedTuple):
     """What pricing needs of a scenario game (None for raw table games):
     the margin delta and the grand coalition's selling probability p + f(N)."""
@@ -173,9 +168,9 @@ class Game:
     def grand_coalition(self) -> Coalition:
         return self._ids
 
-    def worth(self, coalition: Iterable[str]) -> Fraction:
-        """Exact worth v(S); raises on unknown player ids."""
-        s = frozenset(coalition)
+    def worth(self, coalition: Iterable[str] | str) -> Fraction:
+        """Exact worth v(S); raises on unknown player ids.  A str is one id."""
+        s = as_coalition(coalition)
         unknown = s - self._ids
         if unknown:
             raise ValidationError(f"unknown player id(s) in coalition: {sorted(unknown)}")
@@ -199,13 +194,18 @@ class Game:
         return self.scenario.sale_probability
 
 
+def as_coalition(key: Iterable[str] | str) -> Coalition:
+    """The coalition a key names: a str is one id, anything else iterates ids."""
+    return frozenset([key] if isinstance(key, str) else key)
+
+
 def coalition_items(items: Iterable[tuple[Any, Any]], what: str) -> Iterator[tuple[Coalition, Any]]:
     """(coalition, value) for each (key, value) of a worth or uplift table,
     a key being one id or an iterable of ids; ValidationError where two keys
     name one coalition, which a dict would read as last-wins."""
     seen = set()
     for key, raw in items:
-        s = frozenset([key] if isinstance(key, str) else key)
+        s = as_coalition(key)
         if s in seen:
             raise ValidationError(f"{what} {sorted(s)} is given twice")
         seen.add(s)
@@ -288,7 +288,7 @@ def build_threshold(
         den = math.lcm(low.denominator, high.denominator)
         low_num, high_num = _numerator(low, den), _numerator(high, den)
         # a coalition with the seller holds popcount - 1 recommenders
-        return den, [high_num if c > k else low_num for c in popcounts(len(ids))]
+        return den, [high_num if m.bit_count() > k else low_num for m in range(1 << len(ids))]
 
     return Game(seller, rec_ids, fill_table, meta)
 

@@ -664,7 +664,7 @@ def mc_simulate(
     moves = np.concatenate([k.skip, k.fail, k.succ])
 
     s = np.zeros(trials, dtype=np.intp)
-    cum = np.zeros(trials)
+    cum = np.zeros(trials)  # successes so far; r multiplies the means and errors once
     means = np.empty(n)
     errs = np.empty(n)
     scale = math.sqrt(trials) if trials > 1 else 1.0
@@ -672,11 +672,11 @@ def mc_simulate(
         u = rng.random(trials)
         rec = policy._on_states(step, k, s)
         won = rec & (u < k.p[s])
-        cum += won * rf
+        cum += won
         s = moves[(rec.astype(np.intp) + won) * len(k.p) + s]
 
         means[step - 1] = cum.mean()
         errs[step - 1] = cum.std(ddof=1) / scale if trials > 1 else 0.0
 
-    return _in_float_range(
-        RewardCurve(f"{policy.name}:mc", tuple(means.tolist()), tuple(errs.tolist())))
+    return _in_float_range(RewardCurve(
+        f"{policy.name}:mc", tuple((means * rf).tolist()), tuple((errs * rf).tolist())))

@@ -20,7 +20,7 @@ from fairprice.corelp import (
     certificate_refutes,
 )
 from fairprice.errors import ValidationError
-from fairprice.fair_division import BargainingProblem
+from fairprice.fair_division import ArgumentGame, BargainingProblem
 from fairprice.games import Game, PayoffVector
 from fairprice.trust import RewardCurve, TrustParams
 
@@ -76,6 +76,39 @@ def shapley_permutation_oracle(game: Game, worth: Worth | None = None) -> Payoff
             totals[pid] += cur - prev
             prev = cur
     return {i: t / n_fact for i, t in totals.items()}
+
+
+def shapley_pair_oracle(game: Game) -> PayoffVector:
+    """The subset-sum formula walked pair by pair over the game's worth table:
+        phi_j = sum over masks m without bit j of
+                |m|! (n-1-|m|)! / n! * (v(m + j) - v(m)).
+    Exponential but fast enough for 16 players, where the permutation
+    oracle is not."""
+    t = game.table()
+    n = len(t.ids)
+    weights = [math.factorial(s) * math.factorial(n - 1 - s) for s in range(n)]
+    scale = t.den * math.factorial(n)
+    phi = {}
+    for j, pid in enumerate(t.ids):
+        b = 1 << j
+        total = sum(weights[bin(m).count("1")] * (t.nums[m | b] - t.nums[m])
+                    for m in range(1 << n) if not m & b)
+        phi[pid] = Fraction(total, scale)
+    return phi
+
+
+def argument_value_oracle(ag: ArgumentGame, ids: Iterable[str]) -> dict[str, Fraction]:
+    """Uniform-weight marginal value of each argument in `ids`, over the game
+    restricted to them: the sum over all subsets S of `ids` without a of
+    v(S + a) - v(S), divided by n!, each worth read through `ArgumentGame.worth`."""
+    ids = sorted(ids)
+    subsets = [frozenset(c) for r in range(len(ids) + 1) for c in combinations(ids, r)]
+    n_fact = math.factorial(len(ids))
+    return {
+        a: sum((ag.worth(s | {a}) - ag.worth(s) for s in subsets if a not in s), Fraction(0))
+        / n_fact
+        for a in ids
+    }
 
 
 def seller_veto_core_oracle(

@@ -179,9 +179,15 @@ def test_price_method_mismatch(linear_spec, example1_spec, capsys):
      "--vector needs core-check among the methods"),
     ("linear", ["--method", "core-nonempty", "--payment", "per-sale", "--format", "csv"],
      "--payment needs shapley or nash among the methods"),
+    # a repeated method printed its rows twice or ran the Core LPs twice
+    ("linear", ["--method", "shapley,shapley"], "method 'shapley' is given twice"),
+    ("linear", ["--method", "core-nonempty, nash,core-nonempty"],
+     "method 'core-nonempty' is given twice"),
+    ("example1", ["--method", "anon-shapley,shapley,anon-shapley"],
+     "method 'anon-shapley' is given twice"),
 ], ids=["player-spec", "argument-spec", "no-vector", "vector-json", "vector-value", "vector-ids",
         "payment-arguments", "payment-zero-sale", "vector-without-core-check",
-        "payment-without-pricing"])
+        "payment-without-pricing", "repeated-shapley", "repeated-core", "repeated-argument-method"])
 def test_price_checks_methods_and_vector_before_any_work(
     linear_spec, example1_spec, tmp_path, capsys, monkeypatch, spec, argv, err
 ):
@@ -194,7 +200,7 @@ def test_price_checks_methods_and_vector_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("pricing started before the methods and --vector were checked")
 
-    for name in ("shapley", "nash_bargaining", "anonymity_proof_shapley"):
+    for name in ("shapley", "nash_bargaining", "anonymity_proof_shapley", "shapley_arguments"):
         monkeypatch.setattr(fd, name, no_work)
     monkeypatch.setattr(corelp, "core_is_nonempty", no_work)
     paths = {"linear": linear_spec, "example1": example1_spec, "zero-sale": tmp_path / "zero.json"}
@@ -332,14 +338,23 @@ def test_simulate_huge_exponents_end_in_one_line(capsys, flags, message):
      "the every-3 reward curve lies beyond the float range"),
     (["--r", "1.7e308", "--n", "3", "--policy", "optimal"],
      "the optimal reward curve lies beyond the float range"),
-    (["--r", "1e200", "--n", "3", "--policy", "all", "--trials", "10"],
+    # the exact curve ends at 0.915 r, this seed's Monte-Carlo mean at 1.2 r
+    (["--r", "1.7e308", "--n", "2", "--policy", "all", "--trials", "10", "--seed", "1"],
      "the all:mc reward curve lies beyond the float range"),
-], ids=["underflow", "overflow", "every-k-exact", "optimal", "mc-stderr"])
+], ids=["underflow", "overflow", "every-k-exact", "optimal", "mc-overflow"])
 def test_simulate_rewards_beyond_the_float_range_end_in_one_line(capsys, flags, message):
     # these printed a curve of zeros or inf and exited 0, or raised a raw OverflowError
     assert main(["simulate", "--p0", "0.5", "--l", "0.66", *flags]) == 3
     std = capsys.readouterr()
     assert std.out == "" and std.err == f"error: {message}\n"
+
+
+def test_simulate_monte_carlo_keeps_a_large_reward(capsys):
+    # the standard error used to square r-sized deviations, which overflow
+    # at r = 1e200 though the error itself is a float
+    code, out = run(["simulate", "--p0", "0.5", "--l", "0.66", "--r", "1e200", "--n", "3",
+                     "--policy", "all", "--trials", "10"], capsys)
+    assert code == 0 and out.splitlines()[-1] == "3,all:mc,1e+200,3.33333333333e+199"
 
 
 def test_price_refuses_a_coalition_named_twice(tmp_path, capsys):

@@ -8,7 +8,12 @@ import fairprice as fp
 from fairprice import ResourceCapError, ValidationError
 from fairprice.fair_division import payment_divisor, scale_margin, scaled_report_grid
 from fairprice.verification import random_table_game
-from oracles import nash_product_grid_oracle, shapley_permutation_oracle
+from oracles import (
+    argument_value_oracle,
+    nash_product_grid_oracle,
+    shapley_pair_oracle,
+    shapley_permutation_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +47,24 @@ def test_shapley_matches_permutation_oracle_on_random_games():
     for _ in range(50):
         g = random_table_game(rng)
         assert fp.shapley(g) == shapley_permutation_oracle(g)
+
+
+@pytest.mark.parametrize("n", [13, 16])
+@pytest.mark.parametrize("kind", ["linear", "threshold", "general"])
+def test_shapley_matches_the_pair_formula_on_large_games(kind, n):
+    # the permutation oracle stops at 6 players
+    rng = random.Random(n)
+    recs = [f"r{i:02d}" for i in range(1, n)]
+    if kind == "linear":
+        g = fp.build_linear("1/5", "37/4", [F(rng.randint(0, 9), 20 * n) for _ in recs],
+                            recommenders=recs)
+    elif kind == "threshold":
+        g = fp.build_threshold("1/5", "37/4", n - 1, n // 2, "1/3", recommenders=recs)
+    else:
+        uplift = {("s", *sorted(rng.sample(recs, rng.randint(1, 4)))): F(rng.randint(0, 20), 40)
+                  for _ in range(30)}
+        g = fp.build_general("1/5", "37/4", uplift, recommenders=recs)
+    assert fp.shapley(g) == shapley_pair_oracle(g)
 
 
 @given(
@@ -171,6 +194,53 @@ def test_argument_game_worth_rejects_unknown_arguments():
     ag = fp.ArgumentGame.create(["a", "b"], {("a",): 1}, {"r1": ["a"]})
     with pytest.raises(ValidationError, match=r"unknown argument\(s\): \['z'\]"):
         ag.worth({"a", "z"})
+
+
+def test_argument_game_worth_reads_a_str_as_one_argument():
+    # "ab" used to be read as the coalition {a, b}
+    ag = fp.ArgumentGame.create(["a", "b"], {"a": 1, ("a", "b"): 2}, {"r1": ["a"]})
+    assert ag.worth("a") == 1 and ag.worth(["a", "b"]) == 2
+    with pytest.raises(ValidationError, match=r"^unknown argument\(s\): \['ab'\]$"):
+        ag.worth("ab")
+
+
+ARGUMENTS = "abcdefg"
+
+
+@st.composite
+def argument_games(draw):
+    """Up to 7 arguments, a few listed worths, and ownership by up to three
+    recommenders that may withhold any argument but one."""
+    args = ARGUMENTS[:draw(st.integers(1, len(ARGUMENTS)))]
+    keys = st.frozensets(st.sampled_from(args), min_size=1)
+    worths = draw(st.dictionaries(keys, st.fractions(0, 5, max_denominator=6), max_size=8))
+    owners = draw(st.lists(st.sampled_from([None, "r1", "r2", "r3"]),
+                           min_size=len(args), max_size=len(args)))
+    owners[draw(st.integers(0, len(args) - 1))] = "r1"
+    ownership: dict = {}
+    for a, owner in zip(args, owners):
+        if owner is not None:
+            ownership.setdefault(owner, []).append(a)
+    return fp.ArgumentGame.create(args, worths, ownership)
+
+
+@settings(max_examples=80, deadline=None)
+@given(argument_games())
+def test_argument_values_match_the_subset_oracle(ag):
+    declared = ag.declared
+    assert fp.shapley_arguments(ag) == argument_value_oracle(ag, declared)
+
+    full = argument_value_oracle(ag, ag.arguments)
+    denom = sum((full[a] for a in declared), F(0))
+    v_declared = ag.worth(declared)
+    if denom == 0 and v_declared != 0:
+        with pytest.raises(ValidationError, match="zero total value but positive worth"):
+            fp.anonymity_proof_shapley(ag)
+        return
+    per_arg, per_rec = fp.anonymity_proof_shapley(ag)
+    assert per_arg == {a: full[a] / denom * v_declared if denom else F(0) for a in declared}
+    assert per_rec == {r: sum((per_arg[a] for a in owned), F(0))
+                       for r, owned in ag.ownership.items()}
 
 
 # ---------------------------------------------------------------------------

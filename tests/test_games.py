@@ -81,6 +81,14 @@ def test_worth_rejects_unknown_ids():
         g.worth({"s", "nope"})
 
 
+def test_worth_reads_a_str_as_one_id():
+    # "r1" used to be read as the ids "r" and "1"
+    g = build_linear("0.5", 1, ["0.2"])
+    assert g.worth("r1") == 0 and g.worth("s") == F(1, 2)
+    with pytest.raises(ValidationError, match=r"^unknown player id\(s\) in coalition: \['sr1'\]$"):
+        g.worth("sr1")
+
+
 @pytest.mark.parametrize(
     "builder",
     [

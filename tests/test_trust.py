@@ -605,9 +605,12 @@ def test_curves_refuse_rewards_beyond_the_float_range():
                 with pytest.raises(ResourceCapError,
                                    match=f"^the {name} reward curve lies beyond the float range$"):
                     curve(tp)
-    # the standard error squares deviations of r-sized rewards: at r = 1e200 they overflow
-    with pytest.raises(ResourceCapError, match="^the all:mc reward curve lies beyond"):
-        fp.mc_simulate(tiny._replace(r=F("1e200")), AllPolicy(), 3, 10, 1)
+    # Monte Carlo tallies successes and scales by r once, so the squared
+    # deviations of r = 1e200 rewards no longer overflow
+    unit = fp.mc_simulate(tiny._replace(r=F(1)), AllPolicy(), 3, 10, 1)
+    big = fp.mc_simulate(tiny._replace(r=F("1e200")), AllPolicy(), 3, 10, 1)
+    assert big.values == tuple(x * 1e200 for x in unit.values)
+    assert big.stderr == tuple(x * 1e200 for x in unit.stderr)
     # in range, up to the smallest normal r and past half the float maximum
     assert fp.dp_optimal(tiny._replace(r=F(sys.float_info.min)), 3)[0].final > 0
     assert fp.every_k_reward(huge._replace(r=F("1e308")), 3, 5).final == F("5e307")
