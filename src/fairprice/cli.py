@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValidationError, FairpriceError, OSError) as exc:
+    except (FairpriceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -13,7 +13,7 @@ and Fractions appear only in the result.  Constraint counts are
 exponential in the player count.  Core membership and the separation scan
 between row-generation rounds are integer passes over the game's worth
 table, and both the scan and `core_system` take the proper coalitions in
-one order, `games.proper_masks`.  The simplex sees only the rows activated
+one order, `games.lex_masks`.  The simplex sees only the rows activated
 so far, and `lp_feasible` checks each certificate once.
 """
 
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .games import Coalition, Game, WorthTable, check_covers, lex_masks, proper_masks, subset_sums
+from .games import Coalition, Game, WorthTable, check_covers, lex_masks, subset_sums
 from .rational import Rational, as_fraction
 
 
@@ -243,8 +243,9 @@ def lp_feasible(sys: LinearSystem) -> FeasibilityResult:
 def core_system(game: Game) -> LinearSystem:
     """The Core as a linear system over one variable per player."""
     t = game.table()
-    ineqs = tuple(_row(t, m) for m in proper_masks(len(t.ids)))
-    return LinearSystem(t.ids, (_row(t, len(t.nums) - 1),), ineqs)
+    full = len(t.nums) - 1
+    ineqs = tuple(_row(t, m) for m in lex_masks(len(t.ids)) if 0 < m < full)
+    return LinearSystem(t.ids, (_row(t, full),), ineqs)
 
 
 def _row(t: WorthTable, mask: int) -> LinearConstraint:
@@ -301,7 +302,8 @@ def core_is_nonempty(game: Game) -> CoreExistence:
     and the zeros change neither side of that check.
     """
     t = game.table()
-    eq = (_row(t, len(t.nums) - 1),)
+    full = len(t.nums) - 1
+    eq = (_row(t, full),)
     zero = Fraction(0)
 
     active = [1 << j for j in range(len(t.ids))]  # the singletons
@@ -310,8 +312,8 @@ def core_is_nonempty(game: Game) -> CoreExistence:
         res = lp_feasible(LinearSystem(t.ids, eq, tuple(rows)))
         if not res.feasible:
             mult = dict(zip(active, res.certificate.ineq_multipliers))
-            full = tuple(mult.get(m, zero) for m in proper_masks(len(t.ids)))
-            return CoreExistence(False, None, res.certificate._replace(ineq_multipliers=full))
+            ineq = tuple(mult.get(m, zero) for m in lex_masks(len(t.ids)) if 0 < m < full)
+            return CoreExistence(False, None, res.certificate._replace(ineq_multipliers=ineq))
         worst = _worst_violated_coalition(t, res.point)
         if worst is None:
             membership = core_contains(game, res.point)
@@ -326,10 +328,12 @@ def _worst_violated_coalition(t: WorthTable, point: Mapping[str, Fraction]) -> i
     """Mask of the proper coalition with the largest positive excess, ties to
     the lexicographically smallest; None when no proper coalition is violated."""
     excess = _excess(t, point)
+    full = len(excess) - 1
     top = max(excess[1:-1], default=0)  # C-level max, then the first match (beats max(key=))
     if top <= 0:
         return None
-    return next(m for m in proper_masks(len(t.ids)) if excess[m] == top)
+    # the empty coalition's excess is 0, below top
+    return next(m for m in lex_masks(len(t.ids)) if excess[m] == top and m != full)
 
 
 # ---------------------------------------------------------------------------

@@ -292,9 +292,9 @@ class DeviationReport(NamedTuple):
         return self.best_utility - self.truthful_utility
 
 
-def scaled_report_grid(game: Game, factors: Iterable[Rational] = (0, "1/2", 2)) -> list[Game]:
-    """Misreport grid scaling the true margin by each factor (0 included)."""
-    return [scale_margin(game, f) for f in factors]
+def scaled_report_grid(game: Game) -> list[Game]:
+    """Misreport grid scaling the true margin by 0, 1/2 and 2."""
+    return [scale_margin(game, f) for f in (0, Fraction(1, 2), 2)]
 
 
 def scale_margin(game: Game, factor: Rational) -> Game:
@@ -318,28 +318,19 @@ def scale_margin(game: Game, factor: Rational) -> Game:
     return Game(game.seller, game.recommenders, fill_table, scaled)
 
 
-def truthfulness_probe(
-    true_game: Game,
-    pricing_rule: PricingRule,
-    report_grid: Sequence[Game] | None = None,
-) -> DeviationReport:
-    """Search a finite grid of misreported games for a profitable seller lie.
+def truthfulness_probe(true_game: Game, pricing_rule: PricingRule) -> DeviationReport:
+    """Search `scaled_report_grid(true_game)` for a profitable seller lie.
 
     The seller's true utility under report G' is the true grand-coalition
     worth minus the payments the rule assigns for G'.  Returns the
     best-gain misreport (earliest in grid order on ties) or a not-found
-    report.  A zero-margin report is always in the default grid.
+    report.
     """
-    if report_grid is None:
-        report_grid = scaled_report_grid(true_game)
-    if not report_grid:
-        raise ValidationError("report grid must be non-empty")
-
     true_total = true_game.worth(true_game.grand_coalition)
     base = true_total - sum(pricing_rule(true_game).values(), Fraction(0))
     best: Game | None = None
     best_utility = base
-    for reported in report_grid:
+    for reported in scaled_report_grid(true_game):
         utility = true_total - sum(pricing_rule(reported).values(), Fraction(0))
         if utility > best_utility:
             best = reported

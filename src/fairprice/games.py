@@ -91,13 +91,6 @@ def lex_masks(n: int) -> tuple[int, ...]:
     return (0, *tail)
 
 
-@lru_cache(maxsize=None)
-def proper_masks(n: int) -> tuple[int, ...]:
-    """The masks of the proper nonempty coalitions, in `lex_masks(n)` order."""
-    full = (1 << n) - 1
-    return tuple(m for m in lex_masks(n) if 0 < m < full)
-
-
 def subset_sums(values: Iterable[int]) -> list[int]:
     """sums[mask] = sum of values[j] over the bits j set in mask."""
     sums = [0]
@@ -333,24 +326,17 @@ def build_general(
     return Game(seller, rec_ids, fill_table, meta)
 
 
-def from_table(
-    players: Iterable[str],
-    worths: Mapping[Iterable[str] | Coalition, Rational],
-    *,
-    seller: str | None = None,
-) -> Game:
+def from_table(players: Iterable[str], worths: Mapping[Iterable[str] | Coalition, Rational]) -> Game:
     """Game from an explicit worth table (sparse; missing coalitions are 0).
 
-    The first id is the seller unless `seller` names one.  The table must
-    respect v(empty)=0, v >= 0 and v(S)=0 whenever the seller is absent.
+    The first id is the seller.  The table must respect v(empty)=0, v >= 0
+    and v(S)=0 whenever the seller is absent.
     """
     plist = list(players)
-    if seller is None:
-        if not plist:
-            raise ValidationError("a game needs at least one player, the seller")
-        seller = plist[0]
-    recs = [x for x in plist if x != seller]
-    ids = frozenset(recs) | {seller}
+    if not plist:
+        raise ValidationError("a game needs at least one player, the seller")
+    seller, *recs = plist
+    ids = frozenset(plist)
 
     table: dict[Coalition, Fraction] = {}
     for s, raw in coalition_items(worths.items(), "worth key"):

@@ -66,6 +66,6 @@ def frac_str(x: Fraction) -> str:
         raise ResourceCapError(f"result {brief_str(x)} has too many digits to print")
 
 
-def decimal_str(x: Fraction | float, sig: int = 12) -> str:
-    """Decimal rendering to `sig` significant digits (CSV/JSON output)."""
-    return format(float(x), f".{sig}g")
+def decimal_str(x: Fraction | float) -> str:
+    """Decimal rendering to 12 significant digits (CSV/JSON output)."""
+    return format(float(x), ".12g")

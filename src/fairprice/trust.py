@@ -67,20 +67,18 @@ class TrustParams(NamedTuple("TrustParams", [("p0", Fraction), ("l", Fraction), 
         return self
 
 
-def recovery_threshold(l: Rational, g: Rational, *, cap: int = 10**6) -> int | None:
+def recovery_threshold(l: Rational, g: Rational) -> int | None:
     """Smallest number of recovery steps that outweighs one failure's loss:
     the least integer m with l * g^m >= 1, column 1 of `_frontier` plus 1.
     None when g <= 1 (or l = 0), where no finite number of steps suffices;
-    ResourceCapError when m exceeds `cap` or cannot be decided exactly."""
+    ResourceCapError when m exceeds 2^52 or cannot be decided exactly."""
     l, g = as_fraction(l, "l"), as_fraction(g, "g")
     if not (0 <= l < 1):
         raise ValidationError(f"l must lie in [0, 1), got {brief_str(l)}")
     if g <= 1 or l == 0:
         return None
-    m = int(_frontier(l, g, 2, cap)[1]) + 1
-    if m <= cap:
-        return m
-    raise ResourceCapError(f"recovery threshold exceeds {cap} steps")
+    # a cap past 2^52 leaves the refusal of what floats cannot place to `_frontier`
+    return int(_frontier(l, g, 2, 2**53)[1]) + 1
 
 
 def _ln_split(y: Fraction) -> tuple[Fraction, float]:
@@ -329,7 +327,7 @@ class Policy:
     """Per-step recommend/skip rule over trust states (fails, boosts).
 
     Subclasses override `decision_mask`, which decides for whole arrays of
-    states at once.
+    states at once and returns one bool per state.
     """
 
     name = "policy"
@@ -341,8 +339,14 @@ class Policy:
         return bool(self.decision_mask(step, np.array([fails]), np.array([boosts]))[0])
 
     def _on_states(self, step: int, kernel: _Kernel, states: np.ndarray) -> np.ndarray:
-        """The decisions for an array of kernel state indices."""
-        return self.decision_mask(step, kernel.fails[states], kernel.boosts[states])
+        """The decisions for an array of kernel state indices; ValidationError
+        unless `decision_mask` gives one bool per state (0/1 ints would index
+        states by position)."""
+        rec = self.decision_mask(step, kernel.fails[states], kernel.boosts[states])
+        if not (isinstance(rec, np.ndarray) and rec.dtype == bool and rec.shape == states.shape):
+            raise ValidationError(f"{self.name} decision_mask must return one bool per state, "
+                                  f"got {np.asarray(rec).dtype} of shape {np.shape(rec)}")
+        return rec
 
 
 class EveryK(Policy):
@@ -605,9 +609,7 @@ def every_k_reward(tp: TrustParams, k: int, n: int, *, prune: float = 0.0) -> Re
 # ---------------------------------------------------------------------------
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing curve is refused at the end
-def dp_optimal(
-    tp: TrustParams, n: int, *, cap: int = DEFAULT_DP_CAP
-) -> tuple[RewardCurve, OptimalPolicy]:
+def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
     """Optimal expected reward for every horizon up to n, plus the policy.
 
     Value recurrence over states s with t steps remaining:
@@ -616,12 +618,12 @@ def dp_optimal(
     with V(0, .) = 0.  With t steps remaining only the kernel states of
     depth <= n - t can be occupied, so each sweep covers that prefix.  The
     curve holds V(t, initial) for t = 1..n.  Ties choose skip, so the tables
-    are deterministic.
+    are deterministic.  Horizons past DEFAULT_DP_CAP raise ResourceCapError.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if n > cap:
-        raise ResourceCapError(f"horizon {n} exceeds the DP cap of {cap}")
+    if n > DEFAULT_DP_CAP:
+        raise ResourceCapError(f"horizon {n} exceeds the DP cap of {DEFAULT_DP_CAP}")
     rf = _float_reward(tp)
     k = _kernel(tp, n)
     v = np.zeros(k.depth_end[n])

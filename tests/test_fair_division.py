@@ -388,12 +388,6 @@ def test_probe_zero_margin_truth_has_no_deviation():
     assert not report.found
 
 
-def test_probe_empty_grid_rejected():
-    g = fp.build_linear("0.5", 10, ["0.3"])
-    with pytest.raises(ValidationError):
-        fp.truthfulness_probe(g, fp.shapley_rule, [])
-
-
 def test_probe_deviations_are_sound():
     rng = random.Random(99)
     from fairprice.verification import random_general_game
@@ -505,10 +499,10 @@ def test_pinned_caller_outputs(name):
     assert bp.disagreement == {i: alone if i == "s" else F(0) for i in ids}
 
     grid = scaled_report_grid(g)
-    report = fp.truthfulness_probe(g, fp.shapley_rule, grid)
+    report = fp.truthfulness_probe(g, fp.shapley_rule)
     assert (report.found, report.truthful_utility, report.best_utility) == (True, truthful, best)
-    assert report.report is grid[index]
-    zero = fp.truthfulness_probe(g, fp.zero_rule, grid)
+    assert (report.report.table(), report.report.scenario) == (grid[index].table(), grid[index].scenario)
+    zero = fp.truthfulness_probe(g, fp.zero_rule)
     assert (zero.found, zero.report, zero.truthful_utility, zero.best_utility) == (
         False, None, total, total)
 

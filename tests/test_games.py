@@ -206,18 +206,18 @@ def test_a_coalition_named_twice_is_refused():
 
 
 def test_from_table_players():
-    g = from_table(["r1", "s", "r2"], {("s", "r1"): 1}, seller="s")
+    # the first id is the seller
+    g = from_table(["s", "r1", "r2"], {("s", "r1"): 1})
     assert g.players == ("s", "r1", "r2")
     assert g.seller == "s" and g.recommenders == ("r1", "r2")
-    # a seller missing from the list is added
-    g = from_table(["r1"], {("s", "r1"): 2}, seller="s")
-    assert g.players == ("s", "r1")
-    assert g.worth({"s", "r1"}) == 2
-    assert from_table([], {}, seller="s").players == ("s",)
+    g = from_table(["r1", "s"], {("r1",): 2})
+    assert g.seller == "r1" and g.worth({"r1"}) == 2
+    assert from_table(["s"], {}).players == ("s",)
     with pytest.raises(ValidationError, match="at least one player"):
         from_table([], {})  # an IndexError before
-    with pytest.raises(ValidationError, match="unique"):
-        from_table(["s", "r1", "r1"], {})
+    for players in (["s", "r1", "r1"], ["s", "r1", "s"]):
+        with pytest.raises(ValidationError, match="unique"):
+            from_table(players, {})
     with pytest.raises(ValidationError, match="unique"):
         build_linear(0, 1, [0, 0], recommenders=["r1", "r1"])
     with pytest.raises(ValidationError, match="unique"):

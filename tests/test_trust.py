@@ -172,19 +172,14 @@ def test_recovery_threshold_bounded_time():
     assert fp.recovery_threshold("0.5", "1.000001") == 693148
     assert time.perf_counter() - start < 1
     start = time.perf_counter()
-    with pytest.raises(ResourceCapError):
-        fp.recovery_threshold("0.5", "1.0000001")  # needs 6931472 steps
+    assert fp.recovery_threshold("0.5", "1.0000001") == 6931473
     assert time.perf_counter() - start < 1
 
 
-def _threshold_by_steps(l, g, cap):
-    acc, m = F(l), 0
-    while acc < 1:
-        acc *= F(g)
-        m += 1
-        if m > cap:
-            return None
-    return m
+def _is_threshold(l, g, m):
+    """Whether m is the least integer with l * g^m >= 1."""
+    l, g = F(l), F(g)
+    return l * g**m >= 1 > l * g ** (m - 1)
 
 
 @pytest.mark.parametrize(
@@ -202,34 +197,27 @@ def test_recovery_threshold_exact_at_equality(l, g, m):
     g=st.fractions(min_value=F(1001, 1000), max_value=50, max_denominator=1000),
 )
 def test_recovery_threshold_matches_stepping(l, g):
-    cap = 500
-    want = _threshold_by_steps(l, g, cap)
-    if want is None:
-        with pytest.raises(ResourceCapError):
-            fp.recovery_threshold(l, g, cap=cap)
-    else:
-        assert fp.recovery_threshold(l, g, cap=cap) == want
+    assert _is_threshold(l, g, fp.recovery_threshold(l, g))
 
 
-def test_recovery_threshold_bounded_for_any_cap():
-    """Huge caps return or refuse at once: the exact check of a candidate m
-    used to raise g to the m-th power even for m near 7e16."""
+def test_recovery_threshold_bounded_for_huge_thresholds():
+    """Huge thresholds return or refuse at once: the exact check of a
+    candidate m used to raise g to the m-th power even for m near 7e16."""
     start = time.perf_counter()
-    assert fp.recovery_threshold("0.66", "1.33", cap=10**30) == 2
     with localcontext() as ctx:
         ctx.prec = 40
         want = math.ceil(Decimal(2).ln() / Decimal("1.00000000001").ln())  # ...056.34
-    assert fp.recovery_threshold("0.5", "1.00000000001", cap=10**20) == want
+    assert fp.recovery_threshold("0.5", "1.00000000001") == want
     for g in ("1.00000000000000001", "1.0000000000001", "1." + "0" * 40 + "1"):
         with pytest.raises(ResourceCapError, match="too many to decide"):
-            fp.recovery_threshold("0.5", g, cap=10**20)
+            fp.recovery_threshold("0.5", g)
     # l * g^(10^6) is 1 to 60 digits: deciding it needs g^(10^6), 41M bits
     g = 1 + F(1, 2**40)
     with localcontext() as ctx:
         ctx.prec = 60
         l = F((1 + Decimal(2) ** -40) ** -(10**6))
     with pytest.raises(ResourceCapError, match="too many to decide"):
-        fp.recovery_threshold(l, g, cap=10**7)
+        fp.recovery_threshold(l, g)
     assert time.perf_counter() - start < 1
 
 
@@ -761,14 +749,17 @@ def test_dp_deterministic_tables(fig2_recovery):
         assert np.array_equal(a._tables[t], b._tables[t])
 
 
-def test_dp_cap_and_validation(fig2_recovery):
-    with pytest.raises(ResourceCapError):
+def test_dp_cap_and_validation(fig2_recovery, monkeypatch):
+    with pytest.raises(ResourceCapError, match="^horizon 501 exceeds the DP cap of 500$"):
         fp.dp_optimal(fig2_recovery, 501)
-    with pytest.raises(ResourceCapError):
-        fp.dp_optimal(fig2_recovery, 20, cap=10)
     with pytest.raises(ValidationError):
         fp.dp_optimal(fig2_recovery, 0)
-    curve, _ = fp.dp_optimal(fig2_recovery, 20, cap=20)
+    # the cap is read at call time
+    monkeypatch.setattr(trust, "DEFAULT_DP_CAP", 10)
+    with pytest.raises(ResourceCapError, match="^horizon 20 exceeds the DP cap of 10$"):
+        fp.dp_optimal(fig2_recovery, 20)
+    monkeypatch.setattr(trust, "DEFAULT_DP_CAP", 20)
+    curve, _ = fp.dp_optimal(fig2_recovery, 20)
     assert len(curve) == 20
 
 
@@ -829,6 +820,31 @@ def test_mc_generic_policy_fallback(fig2_recovery):
 
     mc = fp.mc_simulate(fig2_recovery, SkipFirst(), 10, trials=500, seed=5)
     assert mc.values[0] == 0.0
+
+
+def _never(mask):
+    """A policy that never recommends, its decisions built by mask(fails)."""
+
+    class Never(fp.Policy):
+        name = "never"
+
+        def decision_mask(self, step, fails, boosts):
+            return mask(fails)
+
+    return Never()
+
+
+@pytest.mark.parametrize("mask", [
+    lambda fails: np.zeros(np.shape(fails), dtype=np.int64),  # would index states by position
+    lambda fails: np.False_,
+    lambda fails: np.zeros(np.size(fails) + 1, dtype=bool),
+], ids=["int", "scalar", "shape"])
+def test_custom_policy_must_give_one_bool_per_state(fig2_recovery, mask):
+    for curve in (lambda policy: expected_curve(fig2_recovery, policy, 5),
+                  lambda policy: fp.mc_simulate(fig2_recovery, policy, 5, trials=10, seed=1)):
+        with pytest.raises(ValidationError, match="^never decision_mask must return one bool per state"):
+            curve(_never(mask))
+        assert curve(_never(lambda fails: np.zeros(np.shape(fails), dtype=bool))).values == (0.0,) * 5
 
 
 def test_mc_validation(fig2_recovery):
