@@ -230,8 +230,7 @@ def cmd_simulate(args) -> int:
     from . import trust
 
     tp = trust.TrustParams(args.p0, args.l, args.g, args.r, reset=args.reset)
-    if args.n < 1:
-        raise ValidationError("--n must be >= 1")
+    trust.check_count("--n", args.n)
     if args.trials is not None:
         trust.check_monte_carlo(args.trials, args.seed, prefix="--")
     trust.check_tolerance("--tol", args.tol)

@@ -33,8 +33,9 @@ DEFAULT_DP_CAP = 500
 # the kernel keeps about a dozen per-state arrays, ~100 bytes a state: 2^22
 # states is ~0.4 GB (Figure 2 reaches it near n = 3,750; states grow like 0.3 n^2)
 KERNEL_STATE_CAP = 2**22
-# Monte Carlo holds ~42 bytes a trial at its peak (state index, running sum,
-# draws, masks and index temporaries): 2^23 trials is ~0.35 GB
+# Monte Carlo holds ~35 bytes a trial at its peak (state index, success count,
+# draws, gathered probabilities and byte masks), ~43 for a custom policy, whose
+# decision_mask gets fails and boosts arrays: 2^23 trials is ~0.3-0.36 GB
 MC_TRIAL_CAP = 2**23
 _EXACT_BITS = 2**22  # the largest power, in bits, an exact clamp check builds (~0.5 s)
 # the no-recovery series stop within 2^20 terms for l up to ~0.999955 (1 - l >= 4.46e-5);
@@ -254,13 +255,18 @@ def check_tolerance(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
+def check_count(name: str, value: int) -> None:
+    """Require an int >= 1 (a bool, or a float such as 2.0, is no count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def check_monte_carlo(trials: int, seed: int, *, prefix: str = "") -> None:
     """Refuse a Monte-Carlo run before it allocates anything: trials must be
-    >= 1 and at most MC_TRIAL_CAP, and the seed an int >= 0 (PCG64 takes no
+    a count at most MC_TRIAL_CAP, and the seed an int >= 0 (PCG64 takes no
     negative seed)."""
-    if trials < 1:
-        raise ValidationError(f"{prefix}trials must be >= 1")
-    if not isinstance(seed, int) or seed < 0:
+    check_count(f"{prefix}trials", trials)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValidationError(f"{prefix}seed must be an integer >= 0, got {seed!r}")
     if trials > MC_TRIAL_CAP:
         raise ResourceCapError(f"{trials} Monte-Carlo trials exceed the cap of {MC_TRIAL_CAP}")
@@ -353,8 +359,7 @@ class EveryK(Policy):
     """Recommend every k-th step (steps k, 2k, ...): floor(n/k) times in n steps."""
 
     def __init__(self, k: int):
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+        check_count("k", k)
         self.k = k
         self.name = f"every-{k}"
 
@@ -377,7 +382,8 @@ class OptimalPolicy(Policy):
     """Decision tables from the finite-horizon dynamic program.
 
     tables[t], for t steps remaining, holds one decision per kernel state
-    that can be occupied by then: the prefix of depth <= horizon - t.
+    that can be occupied by then, the prefix of depth <= horizon - t, as
+    bits packed by `np.packbits`.
     """
 
     name = "optimal"
@@ -391,7 +397,8 @@ class OptimalPolicy(Policy):
         remaining = self.horizon - step + 1
         if not 1 <= remaining <= self.horizon:
             raise ValidationError(f"step {step} outside this policy's horizon {self.horizon}")
-        return self._tables[remaining]
+        count = int(self._kernel.depth_end[self.horizon - remaining])
+        return np.unpackbits(self._tables[remaining], count=count).view(bool)
 
     def decision_mask(self, step, fails, boosts):
         table = self._table(step)
@@ -556,8 +563,7 @@ def expected_curve(tp: TrustParams, policy: Policy, n: int, *, prune: float = 0.
     undercounting the curve by at most n * prune * r per step (default 0:
     keep everything).
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    check_count("n", n)
     check_tolerance("prune", prune)
     rf = _float_reward(tp)
     k = _kernel(tp, n)
@@ -591,8 +597,7 @@ def every_k_reward(tp: TrustParams, k: int, n: int, *, prune: float = 0.0) -> Re
     float64, `expected_curve` with the given `prune`.
     """
     policy = EveryK(k)
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    check_count("n", n)
     check_tolerance("prune", prune)
     # k > n never recommends within the horizon; both branches are all-zero
     if k > n or _frontier(tp.l, tp.g, 2, k - 1)[1] <= k - 2:
@@ -618,10 +623,10 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
     with V(0, .) = 0.  With t steps remaining only the kernel states of
     depth <= n - t can be occupied, so each sweep covers that prefix.  The
     curve holds V(t, initial) for t = 1..n.  Ties choose skip, so the tables
-    are deterministic.  Horizons past DEFAULT_DP_CAP raise ResourceCapError.
+    are deterministic; each is packed to one bit a state.  Horizons past
+    DEFAULT_DP_CAP raise ResourceCapError.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    check_count("n", n)
     if n > DEFAULT_DP_CAP:
         raise ResourceCapError(f"horizon {n} exceeds the DP cap of {DEFAULT_DP_CAP}")
     rf = _float_reward(tp)
@@ -635,7 +640,7 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
         v_skip = v[k.skip[:m]]
         v_success = v[0] if tp.reset else v[:m]
         v_rec = p * (rf + v_success) + (1.0 - p) * v[k.fail[:m]]
-        tables.append(v_rec > v_skip)  # strict: ties go to skip
+        tables.append(np.packbits(v_rec > v_skip))  # strict: ties go to skip
         v = np.maximum(v_skip, v_rec)
         curve.append(float(v[0]))
     return _in_float_range(RewardCurve("optimal", tuple(curve))), OptimalPolicy(k, tables)
@@ -645,7 +650,6 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing curve is refused at the end
 def mc_simulate(
     tp: TrustParams, policy: Policy, n: int, trials: int, seed: int
 ) -> RewardCurve:
@@ -655,30 +659,35 @@ def mc_simulate(
     in step-major order; trial j always consumes column j, so results are
     bit-reproducible and independent of any execution interleaving.  Each
     trial holds one kernel state index.  Returns per-step means with
-    standard errors.
+    standard errors, both from exact integer moments of the success counts:
+    every partial sum stays below trials * n <= 2^45, so it is exact in
+    floats in any order, and r multiplies each value once.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    check_count("n", n)
     check_monte_carlo(trials, seed)
     rf = _float_reward(tp)
     rng = np.random.Generator(np.random.PCG64(seed))
     k = _kernel(tp, n)
-    moves = np.concatenate([k.skip, k.fail, k.succ])
+    moves = np.stack([k.skip, k.fail, k.succ], axis=1).ravel()  # moves[3*s + c], c = rec + won
 
     s = np.zeros(trials, dtype=np.intp)
-    cum = np.zeros(trials)  # successes so far; r multiplies the means and errors once
-    means = np.empty(n)
-    errs = np.empty(n)
-    scale = math.sqrt(trials) if trials > 1 else 1.0
+    cum = np.zeros(trials)  # successes so far
+    s1 = s2 = 0  # the sums of cum and cum^2 over the trials
+    values, errs = [], []
     for step in range(1, n + 1):
         u = rng.random(trials)
         rec = policy._on_states(step, k, s)
-        won = rec & (u < k.p[s])
+        won = u < k.p[s]
+        won &= rec
+        w = int(np.count_nonzero(won))
+        s2 += 2 * int(np.einsum("i,i", cum, won)) + w  # a win takes c^2 to c^2 + 2c + 1
+        s1 += w
         cum += won
-        s = moves[(rec.astype(np.intp) + won) * len(k.p) + s]
+        s *= 3  # the state indices are this loop's own: step them in place
+        s += rec.view(np.uint8) + won.view(np.uint8)  # c: 0 skip, 1 failure, 2 success
+        s = moves[s]
+        values.append(s1 / trials * rf)
+        errs.append(math.sqrt((trials * s2 - s1 * s1) / (trials * trials * (trials - 1))) * rf
+                    if trials > 1 else 0.0)
 
-        means[step - 1] = cum.mean()
-        errs[step - 1] = cum.std(ddof=1) / scale if trials > 1 else 0.0
-
-    return _in_float_range(RewardCurve(
-        f"{policy.name}:mc", tuple((means * rf).tolist()), tuple((errs * rf).tolist())))
+    return _in_float_range(RewardCurve(f"{policy.name}:mc", tuple(values), tuple(errs)))

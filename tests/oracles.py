@@ -356,6 +356,48 @@ def trust_moves(tp: TrustParams, state: tuple[int, int]) -> dict[str, tuple[int,
     return {"skip": skip, "fail": (a + 1, b), "success": (0, 0) if tp.reset else state}
 
 
+def mc_trial_oracle(tp: TrustParams, policy, n: int, trials: int, seed: int
+                    ) -> tuple[list[float], list[float]]:
+    """Monte Carlo walked one trial at a time over `trust_moves`, no kernel.
+
+    Reads the draws `mc_simulate` reads: one PCG64 stream seeded with
+    `seed`, one row of `trials` uniforms per step, trial j reading column j.
+    A trial recommends where `policy.decide(step, fails, boosts)` says so
+    and succeeds where its draw lies below the state's exact success
+    probability rounded to float.  With g = 1 a skip never changes trust
+    and the boosts count stays 0, as the library's states keep it.
+
+    Returns the per-step means and standard errors of the reward: the mean
+    and variance of the success counts as exact Fractions, each rounded
+    once (the error after its square root), then multiplied by float(r).
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rf = float(tp.r)
+    moves, prob, decisions = {}, {}, {}
+    states, counts = [(0, 0)] * trials, [0] * trials
+    means, errs = [], []
+    for step in range(1, n + 1):
+        for j, u in enumerate(rng.random(trials).tolist()):
+            a, b = state = states[j]
+            if state not in moves:
+                moves[state] = trust_moves(tp, state)
+                prob[state] = float(tp.p0 * tp.l**a * tp.g**b)
+            if (step, state) not in decisions:
+                decisions[step, state] = policy.decide(step, a, b)
+            if not decisions[step, state]:
+                states[j] = moves[state]["skip"] if tp.g != 1 else state
+            elif u < prob[state]:
+                counts[j] += 1
+                states[j] = moves[state]["success"]
+            else:
+                states[j] = moves[state]["fail"]
+        mean = Fraction(sum(counts), trials)
+        var = sum((c - mean) ** 2 for c in counts) / (trials - 1) if trials > 1 else Fraction(0)
+        means.append(float(mean) * rf)
+        errs.append(math.sqrt(var / trials) * rf)
+    return means, errs
+
+
 def reachable_states(tp: TrustParams, n: int) -> list[set]:
     """levels[i]: the states that can be occupied after i steps, by search."""
     levels = [{(0, 0)}]

@@ -492,7 +492,7 @@ def test_simulate_validation_exit_codes(capsys):
     assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1", "--r", "1",
                  "--n", "0", "--policy", "all"]) == 2
     assert capsys.readouterr().err.splitlines()[-2:] == [
-        "error: bad every-k policy 'every-k:x'", "error: --n must be >= 1",
+        "error: bad every-k policy 'every-k:x'", "error: --n must be an integer >= 1, got 0",
     ]
 
 
@@ -508,7 +508,7 @@ def test_simulate_trials_checked_up_front(capsys, monkeypatch, trials, policy):
     monkeypatch.setattr(trust, "_kernel", no_work)
     assert main(["simulate", "--p0", "0.5", "--l", "0.66", "--g", "1.33", "--n", "50",
                  "--policy", policy, "--trials", trials]) == 2
-    assert capsys.readouterr().err == "error: --trials must be >= 1\n"
+    assert capsys.readouterr().err == f"error: --trials must be an integer >= 1, got {trials}\n"
 
 
 @pytest.mark.parametrize("mc_args, code, err", [

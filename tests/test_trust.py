@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from oracles import (
     decay_series_oracle,
     dense_dp_oracle,
     history_tree_oracle,
+    mc_trial_oracle,
     reachable_states,
     state_dp_oracle,
     time_limit,
@@ -605,10 +607,46 @@ def test_curves_refuse_rewards_beyond_the_float_range():
 
 
 def test_curves_need_a_step(fig2_recovery):
-    with pytest.raises(ValidationError, match="^n must be >= 1$"):
+    with pytest.raises(ValidationError, match="^n must be an integer >= 1, got 0$"):
         expected_curve(fig2_recovery, AllPolicy(), 0)
-    with pytest.raises(ValidationError, match="^n must be >= 1$"):
+    with pytest.raises(ValidationError, match="^n must be an integer >= 1, got 0$"):
         fp.every_k_reward(fig2_recovery, 3, 0)
+
+
+BAD_COUNTS = [0, -2, 2.0, 1.5, True, "3", None]
+
+
+def _refusal(name, value):
+    return f"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"
+
+
+@pytest.mark.parametrize("n", BAD_COUNTS)
+def test_dp_optimal_takes_an_integer_horizon(fig2_recovery, n):
+    # a float n ended in numpy's TypeError, and n = True in its "truth value
+    # of an array" ValueError
+    with pytest.raises(ValidationError, match=_refusal("n", n)):
+        fp.dp_optimal(fig2_recovery, n)
+
+
+@pytest.mark.parametrize("n", BAD_COUNTS)
+def test_expected_curve_takes_an_integer_horizon(fig2_recovery, n):
+    with pytest.raises(ValidationError, match=_refusal("n", n)):
+        expected_curve(fig2_recovery, AllPolicy(), n)
+
+
+@pytest.mark.parametrize("n", BAD_COUNTS)
+def test_every_k_reward_takes_an_integer_horizon(fig2_recovery, n):
+    for k in (2, 3):  # the expectation and the exact floor(t/k) branch
+        with pytest.raises(ValidationError, match=_refusal("n", n)):
+            fp.every_k_reward(fig2_recovery, k, n)
+
+
+@pytest.mark.parametrize("count", BAD_COUNTS)
+def test_mc_simulate_takes_integer_counts(fig2_recovery, count):
+    with pytest.raises(ValidationError, match=_refusal("n", count)):
+        fp.mc_simulate(fig2_recovery, AllPolicy(), count, 10, 1)
+    with pytest.raises(ValidationError, match=_refusal("trials", count)):
+        fp.mc_simulate(fig2_recovery, AllPolicy(), 5, count, 1)
 
 
 def test_step_rules_decide_by_step_alone():
@@ -749,6 +787,23 @@ def test_dp_deterministic_tables(fig2_recovery):
         assert np.array_equal(a._tables[t], b._tables[t])
 
 
+def test_dp_tables_are_packed_bits(fig2_recovery):
+    """Each table unpacks to the dense grid's decisions on every state the
+    step can reach, and is stored at one bit a state."""
+    n = 60
+    _, policy = fp.dp_optimal(fig2_recovery, n)
+    _, dense_tables = dense_dp_oracle(fig2_recovery, n)
+    k = _kernel(fig2_recovery, n)
+    cells = 0
+    for rem in range(1, n + 1):
+        m = k.depth_end[n - rem]
+        table = policy._table(n - rem + 1)
+        assert table.dtype == bool and table.shape == (m,)
+        assert np.array_equal(table, dense_tables[rem][k.fails[:m], k.boosts[:m]])
+        cells += m
+    assert sum(t.nbytes for t in policy._tables[1:]) <= cells / 8 + n
+
+
 def test_dp_cap_and_validation(fig2_recovery, monkeypatch):
     with pytest.raises(ResourceCapError, match="^horizon 501 exceeds the DP cap of 500$"):
         fp.dp_optimal(fig2_recovery, 501)
@@ -852,8 +907,8 @@ def test_mc_validation(fig2_recovery):
         fp.mc_simulate(fig2_recovery, AllPolicy(), 0, trials=10, seed=0)
     with pytest.raises(ValidationError):
         fp.mc_simulate(fig2_recovery, AllPolicy(), 5, trials=0, seed=0)
-    # PCG64 raised its own ValueError on a negative seed
-    for seed in (-3, 1.5, "7", None):
+    # PCG64 raised its own ValueError on a negative seed; seed=True ran as seed 1
+    for seed in (-3, 1.5, "7", None, True, False):
         with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
             fp.mc_simulate(fig2_recovery, AllPolicy(), 5, 10, seed)
 
@@ -868,6 +923,33 @@ def test_mc_trial_cap(fig2_recovery, monkeypatch):
     monkeypatch.setattr(np.random, "PCG64", no_work)
     with pytest.raises(ResourceCapError, match="51 Monte-Carlo trials exceed the cap of 50"):
         fp.mc_simulate(fig2_recovery, AllPolicy(), 5, trials=51, seed=0)
+
+
+class _TrustedFirst(fp.Policy):
+    """A custom policy that reads the state: recommend while no more
+    failures than recovery steps lie behind, and every fourth step."""
+
+    name = "trusted-first"
+
+    def decision_mask(self, step, fails, boosts):
+        return (fails <= boosts) | (step % 4 == 0)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 257])
+@pytest.mark.parametrize("g", ["1", "1.33"])
+@pytest.mark.parametrize("reset", [True, False])
+@pytest.mark.parametrize("which", ["all", "every-k:2", "every-k:3", "optimal", "custom"])
+def test_mc_matches_trial_oracle(which, reset, g, trials):
+    """Means and standard errors equal, bit for bit, those of a per-trial
+    walk over the same draws with exact Fraction moments."""
+    tp = TrustParams("0.5", "0.66", g, "1.5", reset=reset)
+    n, seed = 24, 1000 + trials
+    policy = {"all": AllPolicy(), "every-k:2": EveryK(2), "every-k:3": EveryK(3),
+              "custom": _TrustedFirst()}.get(which) or fp.dp_optimal(tp, n)[1]
+    mc = fp.mc_simulate(tp, policy, n, trials, seed)
+    means, errs = mc_trial_oracle(tp, policy, n, trials, seed)
+    assert mc.values == tuple(means)
+    assert mc.stderr == tuple(errs)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
