@@ -3,13 +3,11 @@ trust decay: coalitional games, Core/Shapley/Nash solutions, and the
 trust-decay reward process with exact DP and Monte-Carlo evaluation."""
 
 from .corelp import (
-    BalancedWeights,
     CoreExistence,
     CoreMembership,
     FarkasCertificate,
     FeasibilityResult,
     LinearSystem,
-    balanced_inequality_holds,
     certificate_refutes,
     core_contains,
     core_is_nonempty,
@@ -43,7 +41,6 @@ from .games import (
     build_linear,
     build_threshold,
     from_table,
-    is_feasible,
     max_players,
 )
 

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
-from .errors import ValidationError
 from .games import Coalition, Game, WorthTable, check_covers, lex_masks, subset_sums
 from .rational import Rational, as_fraction
 
@@ -39,31 +38,6 @@ class LinearSystem(NamedTuple):
     variables: tuple[str, ...]
     equalities: tuple[LinearConstraint, ...]
     inequalities: tuple[LinearConstraint, ...]
-
-    @staticmethod
-    def create(
-        variables: Sequence[str],
-        equalities: Sequence[tuple[Mapping[str, Rational], Rational]] = (),
-        inequalities: Sequence[tuple[Mapping[str, Rational], Rational]] = (),
-    ) -> "LinearSystem":
-        vs = tuple(variables)
-        vset = set(vs)
-
-        def conv(rows):
-            out = []
-            for coeffs, rhs in rows:
-                unknown = set(coeffs) - vset
-                if unknown:
-                    raise ValidationError(f"constraint references unknown variables {sorted(unknown)}")
-                out.append(
-                    LinearConstraint(
-                        {v: as_fraction(c, f"coeff[{v}]") for v, c in coeffs.items()},
-                        as_fraction(rhs, "rhs"),
-                    )
-                )
-            return tuple(out)
-
-        return LinearSystem(vs, conv(equalities), conv(inequalities))
 
 
 class FarkasCertificate(NamedTuple):
@@ -334,31 +308,3 @@ def _worst_violated_coalition(t: WorthTable, point: Mapping[str, Fraction]) -> i
         return None
     # the empty coalition's excess is 0, below top
     return next(m for m in lex_masks(len(t.ids)) if excess[m] == top and m != full)
-
-
-# ---------------------------------------------------------------------------
-# Balanced collections of weights
-# ---------------------------------------------------------------------------
-
-class BalancedWeights(NamedTuple):
-    """Coalition weights in [0,1] summing to 1 over the coalitions of each player."""
-
-    weights: Mapping[Coalition, Fraction]
-
-    def is_valid_for(self, game: Game) -> bool:
-        for s, w in self.weights.items():
-            if not (0 <= w <= 1) or not s <= game.player_ids:
-                return False
-        for i in game.player_ids:
-            tot = sum((w for s, w in self.weights.items() if i in s), Fraction(0))
-            if tot != 1:
-                return False
-        return True
-
-
-def balanced_inequality_holds(game: Game, weights: BalancedWeights) -> bool:
-    """Check sum of w_S * v(S) <= v(N) for one balanced collection."""
-    if not weights.is_valid_for(game):
-        raise ValidationError("not a balanced collection of weights for this game")
-    lhs = sum((w * game.worth(s) for s, w in weights.weights.items()), Fraction(0))
-    return lhs <= game.worth(game.grand_coalition)

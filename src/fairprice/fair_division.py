@@ -242,7 +242,9 @@ def payment_divisor(game: Game, mode: str) -> Fraction:
         return Fraction(1)
     if mode != PAY_PER_SALE:
         raise ValidationError(f"unknown payment mode {mode!r}")
-    prob = game.sale_probability()
+    if game.scenario is None:
+        raise ValidationError("sale probability is only defined for scenario-built games")
+    prob = game.scenario.sale_probability
     if prob == 0:
         raise ValidationError("pay-per-sale undefined: selling probability is 0")
     return prob

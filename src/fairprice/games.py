@@ -180,12 +180,6 @@ class Game:
         for m in lex_masks(len(t.ids)):
             yield frozenset(t.members(m))
 
-    def sale_probability(self) -> Fraction:
-        """p + f(N), the grand-coalition selling probability (scenario games)."""
-        if self.scenario is None:
-            raise ValidationError("sale probability is only defined for scenario-built games")
-        return self.scenario.sale_probability
-
 
 def as_coalition(key: Iterable[str] | str) -> Coalition:
     """The coalition a key names: a str is one id, anything else iterates ids."""
@@ -372,12 +366,6 @@ def check_covers(game: Game, payoff: Mapping[str, Rational]) -> None:
     """Refuse a payoff vector whose ids are not exactly the game's players."""
     if frozenset(payoff) != game.player_ids:
         raise ValidationError("payoff vector must cover exactly the game's players")
-
-
-def is_feasible(game: Game, payoff: Mapping[str, Fraction]) -> bool:
-    """Feasibility: payoffs sum exactly to the grand-coalition worth."""
-    check_covers(game, payoff)
-    return sum(payoff.values(), Fraction(0)) == game.worth(game.grand_coalition)
 
 
 def _numerator(x: Fraction, den: int) -> int:

@@ -175,10 +175,14 @@ def _float_result(ln_x: float) -> float:
 
 
 def _float_reward(tp: TrustParams) -> float:
-    """float(r) for a reward curve; ResourceCapError where r lies below the
-    normal float range, so a curve never reads a reward of 0."""
+    """float(r) for a reward curve; ResourceCapError where r or p0 * r, the
+    reward a first recommendation expects, lies below the normal float
+    range, so a curve never reads a reward of 0."""
     if tp.r < sys.float_info.min:
         raise ResourceCapError(f"reward r = {brief_str(tp.r)} lies beyond the float range")
+    pr = tp.p0 * tp.r
+    if pr < sys.float_info.min:
+        raise ResourceCapError(f"expected reward p0*r = {brief_str(pr)} lies beyond the float range")
     return float(tp.r)
 
 
@@ -333,7 +337,9 @@ class Policy:
     """Per-step recommend/skip rule over trust states (fails, boosts).
 
     Subclasses override `decision_mask`, which decides for whole arrays of
-    states at once and returns one bool per state.
+    states at once and returns one bool per state.  At g = 1 a skip leaves
+    trust unchanged and the kernel merges the boosts axis, so the curves
+    show `decision_mask` boosts = 0 in every state, skips taken or not.
     """
 
     name = "policy"

@@ -16,6 +16,7 @@ import numpy as np
 from fairprice.corelp import (
     FarkasCertificate,
     FeasibilityResult,
+    LinearConstraint,
     LinearSystem,
     certificate_refutes,
 )
@@ -133,6 +134,25 @@ def seller_veto_core_oracle(
     rows = [frozenset(con.coeffs) for con in system.inequalities]
     ineq = tuple(Fraction(int(r == best or (len(r) == 1 and not r <= best))) for r in rows)
     return FarkasCertificate((Fraction(-1),), ineq)
+
+
+def bondareva_shapley_oracle(game: Game, weights: dict[frozenset, Fraction]) -> bool:
+    """Whether the sum of w_S * v(S) stays within v(N) for one balanced
+    collection `weights`: each player's coalitions weigh 1 in total.  By
+    Bondareva-Shapley the Core is nonempty iff this holds for every minimal
+    balanced collection."""
+    assert all(sum(w for s, w in weights.items() if i in s) == 1 for i in game.player_ids)
+    return sum(w * game.worth(s) for s, w in weights.items()) <= game.worth(game.grand_coalition)
+
+
+def linear_system(variables, equalities=(), inequalities=()) -> LinearSystem:
+    """A LinearSystem from (coefficient mapping, right-hand side) pairs of
+    ints or Fractions."""
+    def rows(pairs) -> tuple[LinearConstraint, ...]:
+        return tuple(LinearConstraint({v: Fraction(c) for v, c in coeffs.items()}, Fraction(rhs))
+                     for coeffs, rhs in pairs)
+
+    return LinearSystem(tuple(variables), rows(equalities), rows(inequalities))
 
 
 def satisfies_oracle(sys: LinearSystem, point: dict[str, Fraction]) -> bool:

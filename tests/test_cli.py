@@ -341,7 +341,16 @@ def test_simulate_huge_exponents_end_in_one_line(capsys, flags, message):
     # the exact curve ends at 0.915 r, this seed's Monte-Carlo mean at 1.2 r
     (["--r", "1.7e308", "--n", "2", "--policy", "all", "--trials", "10", "--seed", "1"],
      "the all:mc reward curve lies beyond the float range"),
-], ids=["underflow", "overflow", "every-k-exact", "optimal", "mc-overflow"])
+    (["--p0", "1e-400", "--n", "3", "--policy", "all"],
+     "expected reward p0*r = ~1e-400 lies beyond the float range"),
+    (["--p0", "1e-400", "--n", "3", "--policy", "optimal", "--trials", "5"],
+     "expected reward p0*r = ~1e-400 lies beyond the float range"),
+    (["--p0", "1e-400", "--l", "0.5", "--g", "2", "--n", "4", "--policy", "every-k:2"],
+     "expected reward p0*r = ~1e-400 lies beyond the float range"),
+    (["--p0", "1e-200", "--r", "1e-200", "--n", "3", "--policy", "all"],
+     "expected reward p0*r = ~1e-400 lies beyond the float range"),
+], ids=["underflow", "overflow", "every-k-exact", "optimal", "mc-overflow",
+        "p0r-underflow", "p0r-optimal-mc", "p0r-every-k-exact", "p0r-both-tiny"])
 def test_simulate_rewards_beyond_the_float_range_end_in_one_line(capsys, flags, message):
     # these printed a curve of zeros or inf and exited 0, or raised a raw OverflowError
     assert main(["simulate", "--p0", "0.5", "--l", "0.66", *flags]) == 3

@@ -2,25 +2,30 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
-import pytest
 from hypothesis import given, strategies as st
 
 import fairprice as fp
-from fairprice import LinearSystem, ValidationError, corelp
+from fairprice import corelp
 from fairprice.corelp import satisfies
 from fairprice.verification import _brute_force_in_core, random_table_game
-from oracles import dense_simplex_oracle, satisfies_oracle, time_limit
+from oracles import (
+    bondareva_shapley_oracle,
+    dense_simplex_oracle,
+    linear_system,
+    satisfies_oracle,
+    time_limit,
+)
 
 
 def test_lp_trivially_infeasible():
-    sys_ = LinearSystem.create(["x"], inequalities=[({"x": 1}, 1), ({"x": -1}, 0)])
+    sys_ = linear_system(["x"], inequalities=[({"x": 1}, 1), ({"x": -1}, 0)])
     res = fp.lp_feasible(sys_)
     assert not res.feasible
     assert fp.certificate_refutes(sys_, res.certificate)
 
 
 def test_lp_trivially_feasible():
-    sys_ = LinearSystem.create(
+    sys_ = linear_system(
         ["x", "y"],
         equalities=[({"x": 1, "y": 1}, 1)],
         inequalities=[({"x": 1}, 0), ({"y": 1}, 0)],
@@ -32,7 +37,7 @@ def test_lp_trivially_feasible():
 
 def test_lp_free_variables_decided():
     # x unconstrained below: still feasible
-    sys_ = LinearSystem.create(["x"], inequalities=[({"x": -1}, 5)])  # -x >= 5
+    sys_ = linear_system(["x"], inequalities=[({"x": -1}, 5)])  # -x >= 5
     res = fp.lp_feasible(sys_)
     assert res.feasible and res.point["x"] <= -5
 
@@ -53,7 +58,7 @@ def test_lp_planted_instances():
                 ineqs.append((coeffs, lhs - F(rng.randint(0, 3))))
             eq_coeffs = {v: F(rng.randint(-2, 2)) for v in names}
             eq_rhs = sum((c * planted[v] for v, c in eq_coeffs.items()), F(0))
-            sys_ = LinearSystem.create(names, [(eq_coeffs, eq_rhs)], ineqs)
+            sys_ = linear_system(names, [(eq_coeffs, eq_rhs)], ineqs)
             res = fp.lp_feasible(sys_)
             assert res.feasible and satisfies(sys_, res.point)
         else:
@@ -66,7 +71,7 @@ def test_lp_planted_instances():
             for _ in range(rng.randint(0, 3)):
                 coeffs = {v: F(rng.randint(-2, 2)) for v in names}
                 extra.append((coeffs, F(-6)))  # slack rows, cannot rescue
-            sys_ = LinearSystem.create(
+            sys_ = linear_system(
                 names, inequalities=[(coeffs1, b1), (coeffs2, b2)] + extra
             )
             res = fp.lp_feasible(sys_)
@@ -106,7 +111,7 @@ def linear_systems(draw, big=False):
 
         eqs = [(c, lhs(c)) for c, _ in eqs]
         ineqs = [(c, lhs(c) - draw(slack)) for c, _ in ineqs]
-    return LinearSystem.create(names, eqs, ineqs)
+    return linear_system(names, eqs, ineqs)
 
 
 @given(sys_=linear_systems())
@@ -143,7 +148,7 @@ def systems_and_points(draw):
             out.append((coeffs, lhs + draw(st.just(F(0)) | values)))
         return out
 
-    return LinearSystem.create(names, rows(3), rows(7)), point
+    return linear_system(names, rows(3), rows(7)), point
 
 
 @given(sys_point=systems_and_points())
@@ -410,22 +415,12 @@ def minimal_balanced_collections(ids):
     raise ValueError("enumerable only for up to 3 players")
 
 
-def test_balanced_weights_validity():
-    g = fp.build_linear("0.5", 1, ["0.2"])
-    good = fp.BalancedWeights({frozenset({"s"}): F(1), frozenset({"r1"}): F(1)})
-    assert good.is_valid_for(g)
-    bad = fp.BalancedWeights({frozenset({"s"}): F(1)})
-    assert not bad.is_valid_for(g)
-    with pytest.raises(ValidationError):
-        fp.balanced_inequality_holds(g, bad)
-
-
 def test_balancedness_matches_lp_verdict():
     rng = random.Random(77)
     for _ in range(80):
         game = random_table_game(rng, n_rec=rng.randint(1, 2))
         balanced = all(
-            fp.balanced_inequality_holds(game, fp.BalancedWeights(w))
+            bondareva_shapley_oracle(game, w)
             for w in minimal_balanced_collections(game.player_ids)
         )
         assert balanced == fp.core_is_nonempty(game).nonempty
@@ -438,7 +433,7 @@ def test_balanced_inequality_detects_empty_core():
         recommenders=["r1", "r2"],
     )
     verdicts = [
-        fp.balanced_inequality_holds(g, fp.BalancedWeights(w))
+        bondareva_shapley_oracle(g, w)
         for w in minimal_balanced_collections(g.player_ids)
     ]
     assert not all(verdicts)

@@ -10,6 +10,7 @@ from fairprice.fair_division import payment_divisor, scale_margin, scaled_report
 from fairprice.verification import random_table_game
 from oracles import (
     argument_value_oracle,
+    bondareva_shapley_oracle,
     nash_product_grid_oracle,
     shapley_pair_oracle,
     shapley_permutation_oracle,
@@ -344,7 +345,7 @@ def test_prices_equal_when_probability_one():
 )
 def test_prices_per_sale_defined_at_zero_margin(game, prob):
     assert game.worth(game.grand_coalition) == 0
-    assert game.sale_probability() == prob
+    assert game.scenario.sale_probability == prob
     schedule = fp.to_prices({"s": F(0), "r1": F(1), "r2": F(2)}, game, fp.PAY_PER_SALE)
     assert schedule.prices == {"r1": 1 / prob, "r2": 2 / prob}
 
@@ -508,10 +509,10 @@ def test_pinned_caller_outputs(name):
 
     phi = fp.shapley(g)
     assert phi["s"] == truthful  # the seller keeps v(N) less the recommenders' payments
-    assert fp.is_feasible(g, phi)
-    assert not fp.is_feasible(g, {**phi, "s": phi["s"] + F(1, 1000)})
+    assert fp.core_contains(g, phi).feasible
+    assert not fp.core_contains(g, {**phi, "s": phi["s"] + F(1, 1000)}).feasible
 
-    singletons = fp.BalancedWeights({frozenset({i}): F(1) for i in ids})
-    big_sets = fp.BalancedWeights({frozenset(ids) - {i}: F(1, len(ids) - 1) for i in ids})
-    assert fp.balanced_inequality_holds(g, singletons)
-    assert fp.balanced_inequality_holds(g, big_sets) == big_sets_hold
+    singletons = {frozenset({i}): F(1) for i in ids}
+    big_sets = {frozenset(ids) - {i}: F(1, len(ids) - 1) for i in ids}
+    assert bondareva_shapley_oracle(g, singletons)
+    assert bondareva_shapley_oracle(g, big_sets) == big_sets_hold

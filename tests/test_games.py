@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairprice import (
+    PAY_PER_SALE,
     ResourceCapError,
     ValidationError,
     add_games,
     build_general,
     build_linear,
     build_threshold,
+    core_contains,
     from_table,
-    is_feasible,
+    to_prices,
 )
 from fairprice.games import Game
 from fairprice.rational import as_fraction
@@ -188,7 +190,7 @@ def test_from_table_validation():
     with pytest.raises(ValidationError, match="unknown player ids"):
         from_table(["s", "r1"], {("s", "r2"): 1})
     with pytest.raises(ValidationError, match="only defined for scenario-built games"):
-        from_table(["s", "r1"], {("s",): 1}).sale_probability()
+        to_prices({"s": 1, "r1": 0}, from_table(["s", "r1"], {("s",): 1}), PAY_PER_SALE)
 
 
 def test_a_coalition_named_twice_is_refused():
@@ -276,10 +278,10 @@ def test_add_games_pointwise():
 
 def test_is_feasible():
     g = build_linear("0.5", 1, ["0.2", "0.1"])
-    assert is_feasible(g, {"s": F("0.8"), "r1": F(0), "r2": F(0)})
-    assert not is_feasible(g, {"s": F("0.7"), "r1": F(0), "r2": F(0)})
+    assert core_contains(g, {"s": F("0.8"), "r1": F(0), "r2": F(0)}).feasible
+    assert not core_contains(g, {"s": F("0.7"), "r1": F(0), "r2": F(0)}).feasible
     with pytest.raises(ValidationError):
-        is_feasible(g, {"s": F("0.8")})
+        core_contains(g, {"s": F("0.8")})
 
 
 def test_float_inputs_convert_base10():

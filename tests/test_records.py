@@ -10,6 +10,7 @@ import fairprice as fp
 from fairprice import corelp, trust
 from fairprice.games import ScenarioMeta
 from fairprice.verification import CheckResult
+from oracles import linear_system
 
 CERT = fp.FarkasCertificate((F(-1),), (F(1), F(0)))
 
@@ -19,12 +20,11 @@ def records():
     every other build() of it."""
     return {
         "LinearConstraint": (lambda: corelp.LinearConstraint({"x": F(1)}, F(2)), False),
-        "LinearSystem": (lambda: fp.LinearSystem.create(["x"], [({"x": 1}, 2)]), False),
+        "LinearSystem": (lambda: linear_system(["x"], [({"x": 1}, 2)]), False),
         "FarkasCertificate": (lambda: fp.FarkasCertificate((F(-1),), (F(1), F(0))), True),
         "FeasibilityResult": (lambda: fp.FeasibilityResult(False, None, CERT), True),
         "CoreMembership": (lambda: fp.CoreMembership(False, frozenset({"s"}), True), True),
         "CoreExistence": (lambda: fp.CoreExistence(True, {"s": F(1)}, None), False),
-        "BalancedWeights": (lambda: fp.BalancedWeights({frozenset({"s"}): F(1)}), False),
         "ArgumentGame": (lambda: fp.ArgumentGame.create(["a"], {"a": 1}, {"r1": ["a"]}), False),
         "BargainingProblem": (lambda: fp.BargainingProblem(F(2), {"s": F(1)}), False),
         "PriceSchedule": (lambda: fp.PriceSchedule(fp.PAY_PER_SALE, {"r1": F(1)}), False),

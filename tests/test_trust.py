@@ -591,6 +591,13 @@ def test_curves_refuse_rewards_beyond_the_float_range():
             for tp in (tiny, tiny._replace(r=F(1, 10**310)), tiny._replace(reset=False)):
                 with pytest.raises(ResourceCapError, match="^reward r = ~1e-(400|310) lies beyond"):
                     curve(tp)
+            # r in range, p0 * r below it: p0 = 1e-400 read as 0.0 gave a curve of zeros
+            for tp in (tiny._replace(r=F(sys.float_info.min)),
+                       tiny._replace(p0=F(1, 10**400), r=F(1)),
+                       tiny._replace(p0=F(1, 10**200), r=F(1, 10**200))):
+                with pytest.raises(ResourceCapError,
+                                   match=r"^expected reward p0\*r = ~\S+ lies beyond the float range$"):
+                    curve(tp)
             for tp in (huge, huge._replace(reset=False)):
                 with pytest.raises(ResourceCapError,
                                    match=f"^the {name} reward curve lies beyond the float range$"):
@@ -601,8 +608,8 @@ def test_curves_refuse_rewards_beyond_the_float_range():
     big = fp.mc_simulate(tiny._replace(r=F("1e200")), AllPolicy(), 3, 10, 1)
     assert big.values == tuple(x * 1e200 for x in unit.values)
     assert big.stderr == tuple(x * 1e200 for x in unit.stderr)
-    # in range, up to the smallest normal r and past half the float maximum
-    assert fp.dp_optimal(tiny._replace(r=F(sys.float_info.min)), 3)[0].final > 0
+    # in range, down to the smallest normal p0 * r and past half the float maximum
+    assert fp.dp_optimal(tiny._replace(r=2 * F(sys.float_info.min)), 3)[0].final > 0
     assert fp.every_k_reward(huge._replace(r=F("1e308")), 3, 5).final == F("5e307")
 
 
@@ -950,6 +957,33 @@ def test_mc_matches_trial_oracle(which, reset, g, trials):
     means, errs = mc_trial_oracle(tp, policy, n, trials, seed)
     assert mc.values == tuple(means)
     assert mc.stderr == tuple(errs)
+
+
+class _ShownBoosts(fp.Policy):
+    """Recommend on odd steps, skip on even ones, and keep every boosts
+    count `decision_mask` is shown."""
+
+    name = "shown-boosts"
+
+    def __init__(self):
+        self.shown = set()
+
+    def decision_mask(self, step, fails, boosts):
+        self.shown.update(boosts.tolist())
+        return np.full(np.shape(fails), step % 2 == 1)
+
+
+@pytest.mark.parametrize("g, shown", [("1", {0}), ("1.33", {0, 1, 2})])
+def test_custom_policy_sees_boosts_only_above_g_1(g, shown):
+    # at g = 1 a skip leaves trust as it is, so the kernel merges the boosts
+    # axis: a custom policy reads boosts = 0 in every state, although the
+    # process has skipped after failures and `trust_moves` counts those skips
+    tp = TrustParams("0.5", "0.66", g, 1, reset=True)
+    assert any(b for level in reachable_states(tp, 6) for _, b in level)
+    for curve in (lambda p: expected_curve(tp, p, 6), lambda p: fp.mc_simulate(tp, p, 6, 50, 3)):
+        policy = _ShownBoosts()
+        curve(policy)
+        assert policy.shown == shown
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
