@@ -33,9 +33,9 @@ DEFAULT_DP_CAP = 500
 # the kernel keeps about a dozen per-state arrays, ~100 bytes a state: 2^22
 # states is ~0.4 GB (Figure 2 reaches it near n = 3,750; states grow like 0.3 n^2)
 KERNEL_STATE_CAP = 2**22
-# Monte Carlo holds ~35 bytes a trial at its peak (state index, success count,
-# draws, gathered probabilities and byte masks), ~43 for a custom policy, whose
-# decision_mask gets fails and boosts arrays: 2^23 trials is ~0.3-0.36 GB
+# Monte Carlo holds ~170 bytes an occupied (state, successes) cell at its peak,
+# and no cell is empty, so cells never outnumber trials: spread-out runs of 10^6
+# trials (every-k:2, n = 500-2,000) occupy at most ~41,000 cells, ~7 MB
 MC_TRIAL_CAP = 2**23
 _EXACT_BITS = 2**22  # the largest power, in bits, an exact clamp check builds (~0.5 s)
 # the no-recovery series stop within 2^20 terms for l up to ~0.999955 (1 - l >= 4.46e-5);
@@ -480,6 +480,8 @@ def _layout(tp: TrustParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 @lru_cache(maxsize=8)
 def _kernel(tp: TrustParams, n: int) -> _Kernel:
+    if tp.p0 < sys.float_info.min:  # float(p0) would be 0 or subnormal: every state's p wrong
+        raise ResourceCapError(f"trust p0 = {brief_str(tp.p0)} lies beyond the float range")
     frontier, counts, ends = _layout(tp, n)
     collapsed = tp.g == 1
     depths = np.arange(n + 2)
@@ -661,37 +663,40 @@ def mc_simulate(
 ) -> RewardCurve:
     """Seeded Monte-Carlo estimate of a policy's cumulative reward curve.
 
-    One PCG64 stream seeded with `seed` draws an n-by-trials uniform matrix
-    in step-major order; trial j always consumes column j, so results are
-    bit-reproducible and independent of any execution interleaving.  Each
-    trial holds one kernel state index.  Returns per-step means with
-    standard errors, both from exact integer moments of the success counts:
-    every partial sum stays below trials * n <= 2^45, so it is exact in
-    floats in any order, and r multiplies each value once.
+    The trials walk the kernel as integer counts over cells (state,
+    successes), kept in ascending order of state * (n+1) + successes.  Each
+    step draws, from one PCG64 stream seeded with `seed`, the winners of
+    every recommending cell at once, rng.binomial(count, p[state]), so
+    results are deterministic for a fixed seed and numpy version.  The
+    trials are i.i.d. chains, so the cell counts follow their multinomial
+    law and a run costs time and memory in the occupied cells, never more
+    than the trials.  Returns per-step means with standard errors, both
+    from exact integer moments of the success counts: every partial sum
+    stays below trials * n <= 2^45, so it is exact in floats in any order,
+    and r multiplies each value once.
     """
     check_count("n", n)
     check_monte_carlo(trials, seed)
     rf = _float_reward(tp)
     rng = np.random.Generator(np.random.PCG64(seed))
     k = _kernel(tp, n)
-    moves = np.stack([k.skip, k.fail, k.succ], axis=1).ravel()  # moves[3*s + c], c = rec + won
-
-    s = np.zeros(trials, dtype=np.intp)
-    cum = np.zeros(trials)  # successes so far
-    s1 = s2 = 0  # the sums of cum and cum^2 over the trials
+    key = np.zeros(1, dtype=np.int64)  # state * (n+1) + successes, one per occupied cell
+    count = np.array([trials], dtype=np.int64)
+    s1 = s2 = 0  # the sums of successes and of their squares over the trials
     values, errs = [], []
     for step in range(1, n + 1):
-        u = rng.random(trials)
-        rec = policy._on_states(step, k, s)
-        won = u < k.p[s]
-        won &= rec
-        w = int(np.count_nonzero(won))
-        s2 += 2 * int(np.einsum("i,i", cum, won)) + w  # a win takes c^2 to c^2 + 2c + 1
-        s1 += w
-        cum += won
-        s *= 3  # the state indices are this loop's own: step them in place
-        s += rec.view(np.uint8) + won.view(np.uint8)  # c: 0 skip, 1 failure, 2 success
-        s = moves[s]
+        live, c = np.divmod(key, n + 1)
+        rec = policy._on_states(step, k, live)
+        won = np.zeros_like(count)
+        won[rec] = rng.binomial(count[rec], k.p[live[rec]])
+        s1 += int(won.sum())
+        s2 += int(won @ (2 * c + 1))  # a win takes c^2 to c^2 + 2c + 1
+        to = np.concatenate([np.where(rec, k.succ[live], k.skip[live]), k.fail[live[rec]]])
+        to = to * (n + 1) + np.concatenate([c + rec, c[rec]])  # winners gain a success
+        weight = np.concatenate([np.where(rec, won, count), (count - won)[rec]])
+        kept = weight > 0
+        key, at = np.unique(to[kept], return_inverse=True)
+        count = np.bincount(at, weight[kept]).astype(np.int64)
         values.append(s1 / trials * rf)
         errs.append(math.sqrt((trials * s2 - s1 * s1) / (trials * trials * (trials - 1))) * rf
                     if trials > 1 else 0.0)

@@ -376,46 +376,68 @@ def trust_moves(tp: TrustParams, state: tuple[int, int]) -> dict[str, tuple[int,
     return {"skip": skip, "fail": (a + 1, b), "success": (0, 0) if tp.reset else state}
 
 
-def mc_trial_oracle(tp: TrustParams, policy, n: int, trials: int, seed: int
-                    ) -> tuple[list[float], list[float]]:
-    """Monte Carlo walked one trial at a time over `trust_moves`, no kernel.
+def _walk_cells(tp: TrustParams, policy, n: int, start, split):
+    """Yields, after each of n steps, the weights of the cells (fails,
+    boosts, successes) that carry some, moved over `trust_moves` from
+    `start` in cell (0, 0, 0).
+
+    Cells are visited in the kernel's order (depth fails + boosts, then
+    fails, then successes).  A cell recommends where `policy.decide(step,
+    fails, boosts)` says so; `split(weight, p)`, p the state's exact success
+    probability, gives its winners' and losers' weights.  With g = 1 a skip
+    never changes trust and the boosts count stays 0, as the library's
+    states keep it.
+    """
+    cells = {(0, 0, 0): start}
+    for step in range(1, n + 1):
+        moved: dict[tuple[int, int, int], object] = {}
+        for (a, b, c), w in sorted(cells.items(), key=lambda cw: (sum(cw[0][:2]), cw[0][0], cw[0][2])):
+            moves = trust_moves(tp, (a, b))
+            if not policy.decide(step, a, b):
+                to = [(moves["skip"] if tp.g != 1 else (a, b), c, w)]
+            else:
+                won, lost = split(w, tp.p0 * tp.l**a * tp.g**b)
+                to = [(moves["success"], c + 1, won), (moves["fail"], c, lost)]
+            for (a2, b2), c2, w2 in to:
+                if w2:
+                    moved[a2, b2, c2] = moved.get((a2, b2, c2), 0) + w2
+        cells = moved
+        yield cells
+
+
+def mc_cell_oracle(tp: TrustParams, policy, n: int, trials: int, seed: int
+                   ) -> list[tuple[Fraction, Fraction]]:
+    """Monte Carlo walked as trial counts over cells in a dict, over
+    `trust_moves`, no kernel.
 
     Reads the draws `mc_simulate` reads: one PCG64 stream seeded with
-    `seed`, one row of `trials` uniforms per step, trial j reading column j.
-    A trial recommends where `policy.decide(step, fails, boosts)` says so
-    and succeeds where its draw lies below the state's exact success
-    probability rounded to float.  With g = 1 a skip never changes trust
-    and the boosts count stays 0, as the library's states keep it.
-
-    Returns the per-step means and standard errors of the reward: the mean
-    and variance of the success counts as exact Fractions, each rounded
-    once (the error after its square root), then multiplied by float(r).
+    `seed`, one scalar `binomial(count, p)` per recommending cell in cell
+    order, p the state's exact success probability rounded to float.
+    Returns, per step, the mean of the trials' success counts and the
+    variance of that mean (sample variance over trials), as exact Fractions.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    rf = float(tp.r)
-    moves, prob, decisions = {}, {}, {}
-    states, counts = [(0, 0)] * trials, [0] * trials
-    means, errs = [], []
-    for step in range(1, n + 1):
-        for j, u in enumerate(rng.random(trials).tolist()):
-            a, b = state = states[j]
-            if state not in moves:
-                moves[state] = trust_moves(tp, state)
-                prob[state] = float(tp.p0 * tp.l**a * tp.g**b)
-            if (step, state) not in decisions:
-                decisions[step, state] = policy.decide(step, a, b)
-            if not decisions[step, state]:
-                states[j] = moves[state]["skip"] if tp.g != 1 else state
-            elif u < prob[state]:
-                counts[j] += 1
-                states[j] = moves[state]["success"]
-            else:
-                states[j] = moves[state]["fail"]
-        mean = Fraction(sum(counts), trials)
-        var = sum((c - mean) ** 2 for c in counts) / (trials - 1) if trials > 1 else Fraction(0)
-        means.append(float(mean) * rf)
-        errs.append(math.sqrt(var / trials) * rf)
-    return means, errs
+
+    def draw(count: int, p: Fraction) -> tuple[int, int]:
+        won = int(rng.binomial(count, float(p)))
+        return won, count - won
+
+    moments = []
+    for cells in _walk_cells(tp, policy, n, trials, draw):
+        mean = Fraction(sum(w * c for (_, _, c), w in cells.items()), trials)
+        dev = sum(w * (c - mean) ** 2 for (_, _, c), w in cells.items())
+        moments.append((mean, dev / (trials * (trials - 1)) if trials > 1 else Fraction(0)))
+    return moments
+
+
+def mc_law_oracle(tp: TrustParams, policy, n: int) -> list[tuple[Fraction, Fraction]]:
+    """The exact law Monte Carlo samples: per step, the mean and variance of
+    one trial's success count, from the cell probabilities as Fractions."""
+    moments = []
+    for cells in _walk_cells(tp, policy, n, Fraction(1), lambda w, p: (w * p, w * (1 - p))):
+        mean = sum(w * c for (_, _, c), w in cells.items())
+        moments.append((mean, sum(w * c * c for (_, _, c), w in cells.items()) - mean**2))
+    return moments
 
 
 def reachable_states(tp: TrustParams, n: int) -> list[set]:

@@ -15,7 +15,8 @@ from oracles import (
     decay_series_oracle,
     dense_dp_oracle,
     history_tree_oracle,
-    mc_trial_oracle,
+    mc_cell_oracle,
+    mc_law_oracle,
     reachable_states,
     state_dp_oracle,
     time_limit,
@@ -613,6 +614,22 @@ def test_curves_refuse_rewards_beyond_the_float_range():
     assert fp.every_k_reward(huge._replace(r=F("1e308")), 3, 5).final == F("5e307")
 
 
+def test_kernel_curves_refuse_a_p0_below_the_float_range():
+    # float(p0) = 0 gave every kernel state p = 0, so a curve of zeros,
+    # although p0 * r = 1e-100 is a float
+    tiny = TrustParams(F(1, 10**400), "0.66", "1.33", F("1e300"), reset=True)
+    for tp, shown in ((tiny, "1e-400"), (tiny._replace(p0=F(1, 10**310)), "1e-310")):
+        for curve in (lambda: expected_curve(tp, AllPolicy(), 3),
+                      lambda: fp.every_k_reward(tp, 2, 6),
+                      lambda: fp.dp_optimal(tp, 3)[0],
+                      lambda: fp.mc_simulate(tp, AllPolicy(), 3, 10, 1)):
+            with pytest.raises(ResourceCapError, match=f"^trust p0 = ~{shown} lies beyond the float range$"):
+                curve()
+    # the exact every-k branch reads no float per state, so it keeps such a p0
+    exact = fp.every_k_reward(tiny._replace(l=F(1, 2), g=F(2)), 2, 4)
+    assert exact.values == (0, F(1, 10**100), F(1, 10**100), F(2, 10**100))
+
+
 def test_curves_need_a_step(fig2_recovery):
     with pytest.raises(ValidationError, match="^n must be an integer >= 1, got 0$"):
         expected_curve(fig2_recovery, AllPolicy(), 0)
@@ -942,21 +959,40 @@ class _TrustedFirst(fp.Policy):
         return (fails <= boosts) | (step % 4 == 0)
 
 
+def _policy(which: str, tp: TrustParams, n: int) -> fp.Policy:
+    return {"all": AllPolicy(), "every-k:2": EveryK(2), "every-k:3": EveryK(3),
+            "custom": _TrustedFirst()}.get(which) or fp.dp_optimal(tp, n)[1]
+
+
 @pytest.mark.parametrize("trials", [1, 2, 257])
 @pytest.mark.parametrize("g", ["1", "1.33"])
 @pytest.mark.parametrize("reset", [True, False])
 @pytest.mark.parametrize("which", ["all", "every-k:2", "every-k:3", "optimal", "custom"])
 def test_mc_matches_trial_oracle(which, reset, g, trials):
-    """Means and standard errors equal, bit for bit, those of a per-trial
-    walk over the same draws with exact Fraction moments."""
+    """Means and standard errors equal, bit for bit, those of a walk over
+    dict cells with scalar binomial draws and exact Fraction moments."""
     tp = TrustParams("0.5", "0.66", g, "1.5", reset=reset)
     n, seed = 24, 1000 + trials
-    policy = {"all": AllPolicy(), "every-k:2": EveryK(2), "every-k:3": EveryK(3),
-              "custom": _TrustedFirst()}.get(which) or fp.dp_optimal(tp, n)[1]
+    policy = _policy(which, tp, n)
     mc = fp.mc_simulate(tp, policy, n, trials, seed)
-    means, errs = mc_trial_oracle(tp, policy, n, trials, seed)
-    assert mc.values == tuple(means)
-    assert mc.stderr == tuple(errs)
+    moments = mc_cell_oracle(tp, policy, n, trials, seed)
+    assert mc.values == tuple(float(mean) * 1.5 for mean, _ in moments)
+    assert mc.stderr == tuple(math.sqrt(var) * 1.5 for _, var in moments)
+
+
+@pytest.mark.parametrize("g", ["1", "1.33"])
+@pytest.mark.parametrize("reset", [True, False])
+@pytest.mark.parametrize("which", ["all", "every-k:2", "optimal", "custom"])
+def test_mc_follows_the_exact_law(which, reset, g):
+    """trials * stderr^2, the sample variance of the success counts, lies
+    within 5% of their exact variance at every step of a 12-step run."""
+    tp = TrustParams("0.5", "0.66", g, 1, reset=reset)
+    n, trials = 12, 100_000
+    policy = _policy(which, tp, n)
+    mc = fp.mc_simulate(tp, policy, n, trials, seed=77)
+    for step, (mean, var) in enumerate(mc_law_oracle(tp, policy, n)):
+        assert abs(trials * mc.stderr[step] ** 2 - var) <= 0.05 * var
+        assert abs(mc.values[step] - mean) <= 4 * mc.stderr[step]
 
 
 class _ShownBoosts(fp.Policy):
