@@ -43,47 +43,26 @@ from .games import (
     from_table,
     max_players,
 )
-
-__version__ = "0.1.0"
-
-# The trust layer is the only user of numpy, which costs most of the import
-# time; it loads on first use of one of these names (PEP 562), so pricing
-# never pays for it.
-_TRUST_NAMES = (
-    "trust",
-    "AllPolicy",
-    "EveryK",
-    "OptimalPolicy",
-    "Policy",
-    "RewardCurve",
-    "TrustParams",
-    "dilog",
-    "dilog_series",
-    "dp_optimal",
-    "every_k_reward",
-    "expected_curve",
-    "mc_simulate",
-    "no_reset_total",
-    "no_reset_total_geometric",
-    "recovery_threshold",
-    "with_reset_total",
-    "with_reset_total_bound",
-    "zero_success_lower_bound",
-    "zero_success_probability",
+from .trust import (
+    AllPolicy,
+    EveryK,
+    OptimalPolicy,
+    Policy,
+    RewardCurve,
+    TrustParams,
+    dilog,
+    dilog_series,
+    dp_optimal,
+    every_k_reward,
+    expected_curve,
+    mc_simulate,
+    no_reset_total,
+    no_reset_total_geometric,
+    recovery_threshold,
+    with_reset_total,
+    with_reset_total_bound,
+    zero_success_lower_bound,
+    zero_success_probability,
 )
 
-
-def __getattr__(name: str):
-    if name in _TRUST_NAMES:
-        from importlib import import_module
-
-        trust = import_module(".trust", __name__)
-        return trust if name == "trust" else getattr(trust, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_TRUST_NAMES})
-
-
-__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_TRUST_NAMES))
+__version__ = "0.1.0"

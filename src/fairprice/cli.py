@@ -11,16 +11,12 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from . import corelp, specio, verification
+from . import corelp, specio, trust, verification
 from . import fair_division as fd
 from .errors import FairpriceError, ResourceCapError, ValidationError
 from .games import Game, check_covers
 from .rational import decimal_str, frac_str
-
-if TYPE_CHECKING:
-    from . import trust
 
 EXIT_OK = 0
 EXIT_CLAIMS_FAILED = 1
@@ -209,8 +205,6 @@ def cmd_price(args) -> int:
 def _policy_curve(args, tp: trust.TrustParams):
     """The policy named by --policy and its curve: the DP's for optimal, else
     the exact expectation (closed form for every-k when it applies)."""
-    from . import trust
-
     if args.policy == "optimal":
         curve, policy = trust.dp_optimal(tp, args.n)
         return policy, curve
@@ -227,8 +221,6 @@ def _policy_curve(args, tp: trust.TrustParams):
 
 
 def cmd_simulate(args) -> int:
-    from . import trust
-
     tp = trust.TrustParams(args.p0, args.l, args.g, args.r, reset=args.reset)
     trust.check_count("--n", args.n)
     if args.trials is not None:

@@ -82,7 +82,7 @@ class ArgumentGame(NamedTuple):
         worths: Mapping[Iterable[str] | str, Rational],
         ownership: Mapping[str, Iterable[str]],
     ) -> "ArgumentGame":
-        args = frozenset(arguments)
+        args = _distinct(arguments)
         table: dict[Coalition, Fraction] = {}
         for s, raw in coalition_items(worths.items(), "worth key"):
             if not s <= args:
@@ -96,7 +96,7 @@ class ArgumentGame(NamedTuple):
         own: dict[str, frozenset] = {}
         claimed: set = set()
         for rec, raw_set in ownership.items():
-            s = frozenset(raw_set)
+            s = _distinct(raw_set, f" in the ownership of {rec!r}")
             if not s <= args:
                 raise ValidationError(f"ownership of {rec!r} uses unknown arguments")
             if s & claimed:
@@ -118,6 +118,16 @@ class ArgumentGame(NamedTuple):
         if not s <= self.arguments:
             raise ValidationError(f"unknown argument(s): {sorted(s - self.arguments)}")
         return self.worths.get(s, Fraction(0))
+
+
+def _distinct(items: Iterable[str], where: str = "") -> frozenset:
+    """The argument ids as a set; ValidationError at the first repeat."""
+    seen: set = set()
+    for x in items:
+        if x in seen:
+            raise ValidationError(f"argument {x!r} is given twice{where}")
+        seen.add(x)
+    return frozenset(seen)
 
 
 def _uniform_marginal_value(worths: Mapping[Coalition, Fraction], ids: Sequence[str]) -> dict:

@@ -20,15 +20,13 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .errors import ResourceCapError, ValidationError
 from .fair_division import ArgumentGame
 from .games import Game, build_general, build_linear, build_threshold, check_size, coalition_items
 from .rational import as_fraction, brief_str, decimal_str, frac_str
-
-if TYPE_CHECKING:
-    from .trust import RewardCurve
+from .trust import RewardCurve
 
 CSV_HEADER = ["step", "policy", "expected_cumulative_reward", "stderr"]
 

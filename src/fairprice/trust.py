@@ -14,6 +14,8 @@ and bounds are float64 except where closed forms are exact by construction.
 The no-recovery (g = 1) closed forms sum their series to float resolution;
 where a sum needs more than SERIES_TERM_CAP terms or a result leaves the
 float range they raise ResourceCapError, never returning inf or 0.
+numpy loads only in the kernel, DP, expectation, Monte-Carlo, policy and
+`_frontier` code; the closed forms and bounds never load it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import ResourceCapError, ValidationError
 from .rational import Rational, as_fraction, brief_str
@@ -348,12 +348,16 @@ class Policy:
         raise NotImplementedError
 
     def decide(self, step: int, fails: int = 0, boosts: int = 0) -> bool:
+        import numpy as np
+
         return bool(self.decision_mask(step, np.array([fails]), np.array([boosts]))[0])
 
     def _on_states(self, step: int, kernel: _Kernel, states: np.ndarray) -> np.ndarray:
         """The decisions for an array of kernel state indices; ValidationError
         unless `decision_mask` gives one bool per state (0/1 ints would index
         states by position)."""
+        import numpy as np
+
         rec = self.decision_mask(step, kernel.fails[states], kernel.boosts[states])
         if not (isinstance(rec, np.ndarray) and rec.dtype == bool and rec.shape == states.shape):
             raise ValidationError(f"{self.name} decision_mask must return one bool per state, "
@@ -370,9 +374,13 @@ class EveryK(Policy):
         self.name = f"every-{k}"
 
     def decision_mask(self, step, fails, boosts):
+        import numpy as np
+
         return np.full(np.shape(fails), step % self.k == 0)
 
     def _on_states(self, step, kernel, states):
+        import numpy as np
+
         return np.full(states.shape, step % self.k == 0)
 
 
@@ -400,6 +408,8 @@ class OptimalPolicy(Policy):
         self._tables = tables
 
     def _table(self, step: int) -> np.ndarray:
+        import numpy as np
+
         remaining = self.horizon - step + 1
         if not 1 <= remaining <= self.horizon:
             raise ValidationError(f"step {step} outside this policy's horizon {self.horizon}")
@@ -448,6 +458,8 @@ class _Kernel(NamedTuple):
     def index(self, fails, boosts, depth: int) -> np.ndarray:
         """Indices of the states (fails, boosts), which must all be
         reachable within `depth` steps."""
+        import numpy as np
+
         a = np.asarray(fails, dtype=np.int64)
         b = np.asarray(boosts, dtype=np.int64)
         ok = (a >= 0) & (b >= 0) & (a + b <= depth)
@@ -464,6 +476,8 @@ class _Kernel(NamedTuple):
 def _layout(tp: TrustParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The clamp frontier, and the kernel's state count and end per depth
     0..n+1, without building it; ResourceCapError past KERNEL_STATE_CAP states."""
+    import numpy as np
+
     if n >= KERNEL_STATE_CAP:  # every depth holds at least one state
         raise _over_state_cap(n)
     depths = np.arange(n + 2)
@@ -480,6 +494,8 @@ def _layout(tp: TrustParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 @lru_cache(maxsize=8)
 def _kernel(tp: TrustParams, n: int) -> _Kernel:
+    import numpy as np
+
     if tp.p0 < sys.float_info.min:  # float(p0) would be 0 or subnormal: every state's p wrong
         raise ResourceCapError(f"trust p0 = {brief_str(tp.p0)} lies beyond the float range")
     frontier, counts, ends = _layout(tp, n)
@@ -525,6 +541,8 @@ def _frontier(l: Fraction, g: Fraction, rows: int, cap: int) -> np.ndarray:
     then l^(a/d) * g^(m/d) >= 1, d = gcd(a, m), is checked in integers, so a
     tie costs one small power.  ResourceCapError where the bound spans two
     integers, a check exceeds _EXACT_BITS bits, or capped rows may pass 2^52."""
+    import numpy as np
+
     top = min(cap, 2**52)  # float64 holds every integer up to top + 1
     col = np.r_[min(top, 0), np.full(rows - 1, top, dtype=np.int64)]
     # ln(1/l) >= 1 - l and ln g <= g - 1: the ratio is at least (1 - l) / (g - 1)
@@ -571,6 +589,8 @@ def expected_curve(tp: TrustParams, policy: Policy, n: int, *, prune: float = 0.
     undercounting the curve by at most n * prune * r per step (default 0:
     keep everything).
     """
+    import numpy as np
+
     check_count("n", n)
     check_tolerance("prune", prune)
     rf = _float_reward(tp)
@@ -621,7 +641,6 @@ def every_k_reward(tp: TrustParams, k: int, n: int, *, prune: float = 0.0) -> Re
 # Finite-horizon dynamic program
 # ---------------------------------------------------------------------------
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing curve is refused at the end
 def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
     """Optimal expected reward for every horizon up to n, plus the policy.
 
@@ -634,6 +653,8 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
     are deterministic; each is packed to one bit a state.  Horizons past
     DEFAULT_DP_CAP raise ResourceCapError.
     """
+    import numpy as np
+
     check_count("n", n)
     if n > DEFAULT_DP_CAP:
         raise ResourceCapError(f"horizon {n} exceeds the DP cap of {DEFAULT_DP_CAP}")
@@ -642,15 +663,16 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
     v = np.zeros(k.depth_end[n])
     tables: list[np.ndarray | None] = [None]
     curve = []
-    for rem in range(1, n + 1):
-        m = k.depth_end[n - rem]
-        p = k.p[:m]
-        v_skip = v[k.skip[:m]]
-        v_success = v[0] if tp.reset else v[:m]
-        v_rec = p * (rf + v_success) + (1.0 - p) * v[k.fail[:m]]
-        tables.append(np.packbits(v_rec > v_skip))  # strict: ties go to skip
-        v = np.maximum(v_skip, v_rec)
-        curve.append(float(v[0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing curve is refused at the end
+        for rem in range(1, n + 1):
+            m = k.depth_end[n - rem]
+            p = k.p[:m]
+            v_skip = v[k.skip[:m]]
+            v_success = v[0] if tp.reset else v[:m]
+            v_rec = p * (rf + v_success) + (1.0 - p) * v[k.fail[:m]]
+            tables.append(np.packbits(v_rec > v_skip))  # strict: ties go to skip
+            v = np.maximum(v_skip, v_rec)
+            curve.append(float(v[0]))
     return _in_float_range(RewardCurve("optimal", tuple(curve))), OptimalPolicy(k, tables)
 
 
@@ -675,6 +697,8 @@ def mc_simulate(
     stays below trials * n <= 2^45, so it is exact in floats in any order,
     and r multiplies each value once.
     """
+    import numpy as np
+
     check_count("n", n)
     check_monte_carlo(trials, seed)
     rf = _float_reward(tp)

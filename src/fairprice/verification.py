@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import NamedTuple
 
-from . import corelp, fair_division as fd, games
+from . import corelp, fair_division as fd, games, trust
 from .errors import ValidationError
 
 # The named experiment: n=200, r=1, p0=0.5, l=0.66, g in {1, 1.33}.
@@ -67,8 +67,6 @@ def random_table_game(rng: random.Random, n_rec: int | None = None) -> games.Gam
 # ---------------------------------------------------------------------------
 
 def suite_figure2() -> list[CheckResult]:
-    from . import trust
-
     out = []
     n = FIGURE2["n"]
     started = time.perf_counter()
@@ -129,8 +127,6 @@ def suite_figure2() -> list[CheckResult]:
 
 
 def suite_bounds() -> list[CheckResult]:
-    from . import trust
-
     out = []
     grid = [Fraction(i, 10) for i in range(1, 10)]
     worst_gap = None

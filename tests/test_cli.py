@@ -713,12 +713,14 @@ print(json.dumps(loaded))
 
 
 def test_pricing_path_loads_no_numpy(linear_spec):
-    # numpy is ~0.14 s of a cold process; only the trust layer uses it.
+    # numpy is ~0.14 s of a cold process; only the trust kernel loads it, so
+    # pricing and the closed-form bounds never pay for it.
     # dataclasses (~10 ms, with inspect, ast, dis and tokenize) is used by none
     steps = [
         ["price", ["price", "--game", str(linear_spec),
                    "--method", "shapley,nash,core-nonempty"]],
         ["core-laws", ["verify", "--suite", "core-laws"]],
+        ["bounds", ["verify", "--suite", "bounds"]],
         ["simulate", ["simulate", "--p0", "0.5", "--l", "0.66", "--n", "5",
                       "--policy", "all"]],
     ]
@@ -731,5 +733,6 @@ def test_pricing_path_loads_no_numpy(linear_spec):
         "import": [],
         "price": [0, []],
         "core-laws": [0, []],
+        "bounds": [0, []],
         "simulate": [0, ["numpy", "inspect"]],  # numpy imports inspect itself
     }

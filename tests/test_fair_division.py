@@ -184,7 +184,9 @@ def test_overlapping_ownership_rejected():
     ({(): 1}, {"r1": ["a"]}, "the empty argument set must have worth 0"),
     ({("a",): 1}, {"r1": ["a", "z"]}, "ownership of 'r1' uses unknown arguments"),
     ({("a", "b"): 1, ("b", "a"): 7}, {"r1": ["a"]}, "worth key ['a', 'b'] is given twice"),
-], ids=["unknown-key", "negative-worth", "empty-worth", "unknown-owned", "named-twice"])
+    ({("a",): 1}, {"r1": ["a", "b", "a"]}, "argument 'a' is given twice in the ownership of 'r1'"),
+], ids=["unknown-key", "negative-worth", "empty-worth", "unknown-owned", "named-twice",
+        "owned-twice"])
 def test_argument_game_create_validation(worths, ownership, message):
     with pytest.raises(ValidationError) as exc:
         fp.ArgumentGame.create(["a", "b"], worths, ownership)

@@ -69,9 +69,15 @@ ARGUMENTS_AB = '{"arguments": ["a", "b"], "ownership": {"r1": ["a"]}, '
     (ARGUMENTS_AB + '"worths": {"a,b": 1, "a,,b": 7}}', "worth key ['a', 'b'] is given twice"),
     (ARGUMENTS_AB + '"worths": {"a,b": 1, "a,b": 7}}', "spec: member 'a,b' is given twice"),
     (GENERAL_R1_R2 + '"p": "1/2", "f": {}}', "spec: member 'p' is given twice"),
-], ids=["uplift-order", "uplift-seller", "worth-order", "worth-empty-id", "member", "top-member"])
+    ('{"arguments": ["a", "a", "b"], "worths": {"a": 1, "a,b": 2}, '
+     '"ownership": {"r1": ["a"], "r2": ["b"]}}', "argument 'a' is given twice"),
+    ('{"arguments": ["a", "b"], "worths": {"a": 1, "a,b": 2}, '
+     '"ownership": {"r1": ["a", "a"], "r2": ["b"]}}', "argument 'a' is given twice in the ownership of 'r1'"),
+], ids=["uplift-order", "uplift-seller", "worth-order", "worth-empty-id", "member", "top-member",
+        "argument", "owned-argument"])
 def test_load_spec_refuses_a_key_given_twice(text, message):
-    # each used to be read as last-wins: the general game priced with 1/5
+    # each used to be read as last-wins, the general game priced with 1/5,
+    # or, for a repeated argument, as one argument
     with pytest.raises(ValidationError) as exc:
         load_spec(text)
     assert str(exc.value) == message
