@@ -154,12 +154,15 @@ def shapley_arguments(ag: ArgumentGame) -> dict[str, Fraction]:
 
 
 def anonymity_proof_shapley(ag: ArgumentGame) -> tuple[dict[str, Fraction], PayoffVector]:
-    """Withholding-proof rescaling of per-argument values.
+    """Anonymity-proof rescaling of per-argument values.
 
     Values are computed on the full argument set, then the declared
     arguments' values are rescaled to sum to the worth of the declared set:
         psi_a = phi_a / (sum of phi over declared) * v(declared).
     Each recommender receives the sum of psi over the arguments they own.
+    Withholding-proof only for monotone worths.  Unlisted coalitions are worth
+    0, so {a, b}: 1 alone is not monotone: with r1 owning a and r2 owning b
+    and c, r2 is paid 0 for declaring b and c but 1/2 for declaring b alone.
 
     When the declared values sum to zero the result is the all-zero vector
     if v(declared) = 0; otherwise the input is inconsistent and an error is

@@ -378,11 +378,6 @@ class EveryK(Policy):
 
         return np.full(np.shape(fails), step % self.k == 0)
 
-    def _on_states(self, step, kernel, states):
-        import numpy as np
-
-        return np.full(states.shape, step % self.k == 0)
-
 
 class AllPolicy(EveryK):
     """Recommend at every step: every-k with k = 1."""
@@ -433,7 +428,8 @@ class OptimalPolicy(Policy):
 
 class _Kernel(NamedTuple):
     """The trust states reachable from (0, 0) within n steps, with their
-    success probabilities and transitions as flat index arrays.
+    success probabilities and skip and failure moves as flat index arrays;
+    a success moves to state 0, full trust, if `tp.reset`, else stays put.
 
     (fails, boosts) is reachable within d steps iff fails + boosts <= d and
     boosts <= frontier[fails], from where a skip returns to full trust.
@@ -445,15 +441,13 @@ class _Kernel(NamedTuple):
 
     tp: TrustParams
     n: int
-    collapsed: bool
     frontier: np.ndarray  # per fails count, capped at n
     depth_end: np.ndarray
     fails: np.ndarray
     boosts: np.ndarray
     p: np.ndarray  # min(p0, p0 * l^fails * g^boosts)
-    skip: np.ndarray  # the next state after a skip, a failure and a success
+    skip: np.ndarray  # the next state after a skip and after a failure
     fail: np.ndarray
-    succ: np.ndarray
 
     def index(self, fails, boosts, depth: int) -> np.ndarray:
         """Indices of the states (fails, boosts), which must all be
@@ -468,9 +462,18 @@ class _Kernel(NamedTuple):
             i = np.flatnonzero(~ok)[0]
             state = f"(fails={a.flat[i]}, boosts={b.flat[i]})"
             raise ValidationError(f"state {state} is not reachable within {depth} steps")
-        if self.collapsed:
+        if self.tp.g == 1:
             b = np.zeros_like(b)
         return self.depth_end[a + b] - b - 1
+
+    def arrivals(self, live: np.ndarray, rec: np.ndarray) -> np.ndarray:
+        """The targets of the states `live` deciding `rec`: each state's success
+        target where it recommends and its skip target elsewhere, then the
+        failure targets of the states that recommend."""
+        import numpy as np
+
+        success = 0 if self.tp.reset else live
+        return np.concatenate([np.where(rec, success, self.skip[live]), self.fail[live[rec]]])
 
 
 def _layout(tp: TrustParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -499,7 +502,6 @@ def _kernel(tp: TrustParams, n: int) -> _Kernel:
     if tp.p0 < sys.float_info.min:  # float(p0) would be 0 or subnormal: every state's p wrong
         raise ResourceCapError(f"trust p0 = {brief_str(tp.p0)} lies beyond the float range")
     frontier, counts, ends = _layout(tp, n)
-    collapsed = tp.g == 1
     depths = np.arange(n + 2)
     total = int(ends[n])
     state = np.arange(total)
@@ -509,9 +511,8 @@ def _kernel(tp: TrustParams, n: int) -> _Kernel:
 
     inner = depth < n
     fail = np.where(inner, ends[depth + 1] - boosts - 1, state)
-    grow = state if collapsed else np.where(inner, ends[depth + 1] - boosts - 2, state)
+    grow = state if tp.g == 1 else np.where(inner, ends[depth + 1] - boosts - 2, state)
     skip = np.where(boosts == frontier[fails], 0, grow)
-    succ = np.zeros(total, dtype=state.dtype) if tp.reset else state
 
     p0f, lf = float(tp.p0), float(tp.l)
     gf = float(tp.g) if tp.g <= sys.float_info.max else math.inf
@@ -524,8 +525,7 @@ def _kernel(tp: TrustParams, n: int) -> _Kernel:
         if far.any():  # l^a underflows or g^b overflows: add logarithms
             logp = fails[far] * _ln(tp.l) + boosts[far] * _ln(tp.g)
             p[far] = np.minimum(p0f, p0f * np.exp(logp))
-    return _Kernel(tp, n, collapsed, frontier[: n + 1], ends[: n + 1],
-                   fails, boosts, p, skip, fail, succ)
+    return _Kernel(tp, n, frontier[: n + 1], ends[: n + 1], fails, boosts, p, skip, fail)
 
 
 def _over_state_cap(n: int) -> ResourceCapError:
@@ -604,10 +604,9 @@ def expected_curve(tp: TrustParams, policy: Policy, n: int, *, prune: float = 0.
         p = k.p[live]
         won = mass * p
         cum += float(won[rec].sum()) * rf
-        to = np.concatenate([np.where(rec, k.succ[live], k.skip[live]), k.fail[live[rec]]])
         weight = np.concatenate([np.where(rec, won, mass), (mass * (1.0 - p))[rec]])
-        acc = np.bincount(to, weight)
-        live = np.flatnonzero(acc >= prune if prune else acc)
+        acc = np.bincount(k.arrivals(live, rec), weight)
+        live = np.flatnonzero(acc >= prune if prune else acc != 0)
         mass = acc[live]
         values.append(cum)
     return _in_float_range(RewardCurve(policy.name, tuple(values)))
@@ -680,9 +679,7 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def mc_simulate(
-    tp: TrustParams, policy: Policy, n: int, trials: int, seed: int
-) -> RewardCurve:
+def mc_simulate(tp: TrustParams, policy: Policy, n: int, trials: int, seed: int) -> RewardCurve:
     """Seeded Monte-Carlo estimate of a policy's cumulative reward curve.
 
     The trials walk the kernel as integer counts over cells (state,
@@ -715,8 +712,7 @@ def mc_simulate(
         won[rec] = rng.binomial(count[rec], k.p[live[rec]])
         s1 += int(won.sum())
         s2 += int(won @ (2 * c + 1))  # a win takes c^2 to c^2 + 2c + 1
-        to = np.concatenate([np.where(rec, k.succ[live], k.skip[live]), k.fail[live[rec]]])
-        to = to * (n + 1) + np.concatenate([c + rec, c[rec]])  # winners gain a success
+        to = k.arrivals(live, rec) * (n + 1) + np.concatenate([c + rec, c[rec]])  # winners gain a success
         weight = np.concatenate([np.where(rec, won, count), (count - won)[rec]])
         kept = weight > 0
         key, at = np.unique(to[kept], return_inverse=True)
@@ -724,5 +720,4 @@ def mc_simulate(
         values.append(s1 / trials * rf)
         errs.append(math.sqrt((trials * s2 - s1 * s1) / (trials * trials * (trials - 1))) * rf
                     if trials > 1 else 0.0)
-
     return _in_float_range(RewardCurve(f"{policy.name}:mc", tuple(values), tuple(errs)))

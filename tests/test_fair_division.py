@@ -133,6 +133,19 @@ def test_anonymity_proof_full_vs_withheld():
     assert plain_full["b"] + plain_full["c"] < plain_withheld["b"]
 
 
+def test_anonymity_proof_withholding_pays_on_a_non_monotone_table():
+    """Unlisted coalitions are worth 0, so the table {a, b}: 1 alone is not
+    monotone ({a, b, c} is worth 0), and there declaring fewer arguments
+    pays: withholding-proofness needs monotone worths."""
+    worths = {("a", "b"): 1}
+    full = fp.ArgumentGame.create(["a", "b", "c"], worths, {"r1": ["a"], "r2": ["b", "c"]})
+    withheld = fp.ArgumentGame.create(["a", "b", "c"], worths, {"r1": ["a"], "r2": ["b"]})
+    assert fp.anonymity_proof_shapley(full) == (
+        {"a": 0, "b": 0, "c": 0}, {"r1": 0, "r2": 0})
+    assert fp.anonymity_proof_shapley(withheld) == (
+        {"a": F(1, 2), "b": F(1, 2)}, {"r1": F(1, 2), "r2": F(1, 2)})
+
+
 def test_psi_normalization():
     rng = random.Random(7)
     for _ in range(40):

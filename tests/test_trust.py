@@ -62,6 +62,24 @@ def _state(kernel, index):
     return int(kernel.fails[index]), int(kernel.boosts[index])
 
 
+def _check_arrivals(tp, k):
+    """`k.arrivals` moves every state as `trust_moves` does: a success from
+    every state, a failure and a skip from those of depth < n, which have
+    moves; with g = 1 a skip keeps boosts at 0."""
+    every = np.arange(len(k.p))
+    inner = k.depth_end[k.n - 1]  # states are sorted by depth
+    recommend = k.arrivals(every, np.ones(len(every), dtype=bool))
+    skip = k.arrivals(every, np.zeros(len(every), dtype=bool))
+    assert len(recommend) == 2 * len(every) and len(skip) == len(every)
+    for s in every:
+        moves = trust_moves(tp, _state(k, s))
+        assert _state(k, recommend[s]) == moves["success"]
+        if s < inner:
+            assert _state(k, recommend[len(every) + s]) == moves["fail"]
+            want = moves["skip"]
+            assert _state(k, skip[s]) == ((want[0], 0) if tp.g == 1 else want)
+
+
 def test_state_transitions_fig2():
     tp = TrustParams("0.5", "0.66", "1.33", 1, reset=True)
     k = _kernel(tp, 10)
@@ -73,9 +91,18 @@ def test_state_transitions_fig2():
     s2 = k.skip[s1]
     assert _state(k, s2) == (1, 1)  # 0.66 * 1.33 < 1: not recovered yet
     assert k.skip[s2] == s0  # 0.66 * 1.33^2 >= 1: clamp to full trust
-    assert k.succ[s2] == s0
+    # (1, 1) recommends: a success resets to full trust, a failure adds one
+    assert k.arrivals(np.array([s2]), np.array([True])).tolist() == [s0, k.index(2, 1, 3)]
     no_reset = _kernel(TrustParams("0.5", "0.66", "1.33", 1, reset=False), 10)
-    assert no_reset.succ[s2] == s2
+    assert no_reset.arrivals(np.array([s2]), np.array([True])).tolist() == [s2, k.index(2, 1, 3)]
+    # a mixed step: successes or skips first, in state order, then failures
+    live = np.array([s0, s1, s2])
+    assert k.arrivals(live, np.array([True, False, True])).tolist() == [
+        s0, s2, s0, s1, k.index(2, 1, 3)]
+    for g in (1, "1.33"):
+        for reset in (True, False):
+            tp = TrustParams("0.5", "0.66", g, 1, reset=reset)
+            _check_arrivals(tp, _kernel(tp, 10))
 
 
 def test_state_values_stay_in_range():
@@ -110,19 +137,14 @@ def test_kernel_holds_the_reachable_states(tp, n):
     levels = reachable_states(tp, n)
     for d in range(n + 1):
         found = levels[d]
-        if k.collapsed:  # g = 1: boosts never change trust
+        if tp.g == 1:  # boosts never change trust
             found = {(a, 0) for a, _ in found}
         stored = {_state(k, s) for s in range(k.depth_end[d])}
         assert stored == found
     for s in range(len(k.p)):
         a, b = _state(k, s)
         assert k.p[s] == pytest.approx(float(tp.p0 * tp.l**a * tp.g**b), rel=1e-13, abs=0)
-        if a + b < n:
-            moves = trust_moves(tp, (a, b))
-            assert _state(k, k.fail[s]) == moves["fail"]
-            assert _state(k, k.succ[s]) == moves["success"]
-            skip = moves["skip"]
-            assert _state(k, k.skip[s]) == ((skip[0], 0) if k.collapsed else skip)
+    _check_arrivals(tp, k)
 
 
 @pytest.mark.parametrize(
@@ -682,6 +704,21 @@ def test_step_rules_decide_by_step_alone():
     assert every3.decision_mask(4, fails, boosts).tolist() == [False] * 3
     assert AllPolicy().decide(1, fails=9, boosts=4)
     assert AllPolicy().decision_mask(5, fails, boosts).tolist() == [True] * 3
+
+
+@pytest.mark.parametrize("rule", [EveryK, AllPolicy])
+def test_step_rule_subclass_decides_through_decision_mask(fig2_recovery, rule):
+    """A subclass of a step rule that overrides `decision_mask` is obeyed by
+    both curves, not only by `decide`: the curves used to follow the step."""
+
+    class Never(rule):
+        def decision_mask(self, step, fails, boosts):
+            return np.zeros(np.shape(fails), dtype=bool)
+
+    never = Never(1) if rule is EveryK else Never()
+    assert not never.decide(1)
+    assert expected_curve(fig2_recovery, never, 5).final == 0.0
+    assert fp.mc_simulate(fig2_recovery, never, 5, trials=100, seed=0).final == 0.0
 
 
 def test_every_k_exact_branch_respects_the_state_cap(fig2_recovery, monkeypatch):
