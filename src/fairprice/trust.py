@@ -259,10 +259,10 @@ def check_tolerance(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
-def check_count(name: str, value: int) -> None:
-    """Require an int >= 1 (a bool, or a float such as 2.0, is no count)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(name: str, value: int, least: int = 1) -> None:
+    """Require an int >= least (a bool, or a float such as 2.0, is no count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def check_monte_carlo(trials: int, seed: int, *, prefix: str = "") -> None:
@@ -270,8 +270,7 @@ def check_monte_carlo(trials: int, seed: int, *, prefix: str = "") -> None:
     a count at most MC_TRIAL_CAP, and the seed an int >= 0 (PCG64 takes no
     negative seed)."""
     check_count(f"{prefix}trials", trials)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValidationError(f"{prefix}seed must be an integer >= 0, got {seed!r}")
+    check_count(f"{prefix}seed", seed, least=0)
     if trials > MC_TRIAL_CAP:
         raise ResourceCapError(f"{trials} Monte-Carlo trials exceed the cap of {MC_TRIAL_CAP}")
 
@@ -340,6 +339,8 @@ class Policy:
     states at once and returns one bool per state.  At g = 1 a skip leaves
     trust unchanged and the kernel merges the boosts axis, so the curves
     show `decision_mask` boosts = 0 in every state, skips taken or not.
+    `decide` asks about one state; it refuses with ValidationError a step
+    that is no int >= 1 and fails or boosts that are no int >= 0.
     """
 
     name = "policy"
@@ -350,6 +351,11 @@ class Policy:
     def decide(self, step: int, fails: int = 0, boosts: int = 0) -> bool:
         import numpy as np
 
+        check_count("step", step)
+        if any(isinstance(v, int) and v < 0 for v in (fails, boosts)):
+            raise ValidationError(f"state (fails={fails}, boosts={boosts}) is not reachable")
+        check_count("fails", fails, least=0)
+        check_count("boosts", boosts, least=0)
         return bool(self.decision_mask(step, np.array([fails]), np.array([boosts]))[0])
 
     def _on_states(self, step: int, kernel: _Kernel, states: np.ndarray) -> np.ndarray:
@@ -392,7 +398,9 @@ class OptimalPolicy(Policy):
 
     tables[t], for t steps remaining, holds one decision per kernel state
     that can be occupied by then, the prefix of depth <= horizon - t, as
-    bits packed by `np.packbits`.
+    bits packed by `np.packbits`.  It looks states up by (fails, boosts) on
+    its own kernel, so it decides alike on any kernel, and refuses with
+    ValidationError a step past its horizon or a state it cannot occupy.
     """
 
     name = "optimal"
@@ -402,24 +410,14 @@ class OptimalPolicy(Policy):
         self._kernel = kernel
         self._tables = tables
 
-    def _table(self, step: int) -> np.ndarray:
+    def decision_mask(self, step, fails, boosts):
         import numpy as np
 
-        remaining = self.horizon - step + 1
-        if not 1 <= remaining <= self.horizon:
+        if not 1 <= step <= self.horizon:
             raise ValidationError(f"step {step} outside this policy's horizon {self.horizon}")
-        count = int(self._kernel.depth_end[self.horizon - remaining])
-        return np.unpackbits(self._tables[remaining], count=count).view(bool)
-
-    def decision_mask(self, step, fails, boosts):
-        table = self._table(step)
-        return table[self._kernel.index(fails, boosts, step - 1)]
-
-    def _on_states(self, step, kernel, states):
-        if kernel.tp != self._kernel.tp:
-            return super()._on_states(step, kernel, states)
-        # kernels of one process list their states in one order
-        return self._table(step)[states]
+        k = self._kernel
+        table = np.unpackbits(self._tables[self.horizon - step + 1], count=int(k.depth_end[step - 1]))
+        return table.view(bool)[k.index(fails, boosts, step - 1)]
 
 
 # ---------------------------------------------------------------------------

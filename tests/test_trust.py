@@ -662,8 +662,8 @@ def test_curves_need_a_step(fig2_recovery):
 BAD_COUNTS = [0, -2, 2.0, 1.5, True, "3", None]
 
 
-def _refusal(name, value):
-    return f"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"
+def _refusal(name, value, least=1):
+    return f"^{name} must be an integer >= {least}, got {re.escape(repr(value))}$"
 
 
 @pytest.mark.parametrize("n", BAD_COUNTS)
@@ -706,16 +706,37 @@ def test_step_rules_decide_by_step_alone():
     assert AllPolicy().decision_mask(5, fails, boosts).tolist() == [True] * 3
 
 
-@pytest.mark.parametrize("rule", [EveryK, AllPolicy])
+@pytest.mark.parametrize("which", ["every-k:2", "all", "optimal"])
+def test_decide_takes_a_step_and_a_state(fig2_recovery, which):
+    # a float step raised numpy's IndexError in a DP policy, a float state
+    # was truncated, step 0 or -4 recommended in every-2, and True was step 1
+    policy = _policy(which, fig2_recovery, 10)
+    assert policy.decide(2, 1, 0) in (True, False)
+    for step in (0, -4, 2.5, 2.0, True, "2", None):
+        with pytest.raises(ValidationError, match=_refusal("step", step)):
+            policy.decide(step)
+    for value in (0.5, 1.0, True, "1", None):
+        with pytest.raises(ValidationError, match=_refusal("fails", value, least=0)):
+            policy.decide(2, value, 0)
+        with pytest.raises(ValidationError, match=_refusal("boosts", value, least=0)):
+            policy.decide(2, 0, value)
+    for fails, boosts in [(-1, 0), (0, -1), (-3, -2)]:
+        with pytest.raises(ValidationError, match=r"^state \(fails=-?\d, boosts=-?\d\) is not reachable"):
+            policy.decide(2, fails, boosts)
+
+
+@pytest.mark.parametrize("rule", [EveryK, AllPolicy, fp.OptimalPolicy])
 def test_step_rule_subclass_decides_through_decision_mask(fig2_recovery, rule):
-    """A subclass of a step rule that overrides `decision_mask` is obeyed by
-    both curves, not only by `decide`: the curves used to follow the step."""
+    """A subclass of a built-in policy that overrides `decision_mask` is
+    obeyed by both curves, not only by `decide`: the curves used to follow
+    the step, and a DP policy's own table on the kernel it was built on."""
 
     class Never(rule):
         def decision_mask(self, step, fails, boosts):
             return np.zeros(np.shape(fails), dtype=bool)
 
-    never = Never(1) if rule is EveryK else Never()
+    _, dp = fp.dp_optimal(fig2_recovery, 5)
+    never = Never(*{EveryK: (1,), AllPolicy: (), fp.OptimalPolicy: (dp._kernel, dp._tables)}[rule])
     assert not never.decide(1)
     assert expected_curve(fig2_recovery, never, 5).final == 0.0
     assert fp.mc_simulate(fig2_recovery, never, 5, trials=100, seed=0).final == 0.0
@@ -789,17 +810,12 @@ def test_dp_policy_rejects_unreachable_states(fig2_recovery):
 
 def test_policy_from_other_parameters_decides_by_state(fig2_recovery):
     """A DP policy replayed on another process looks its decisions up by
-    (fails, boosts), not by the other process's state numbering."""
+    (fails, boosts), not by the other process's state numbering: the curve
+    is the exact law of a walk over (fails, boosts) cells that asks
+    `decide` in each."""
     _, policy = fp.dp_optimal(TrustParams("0.3", "0.66", "1.5", 1, reset=True), 30)
-
-    class ByState(fp.Policy):
-        name = "optimal"
-
-        def decision_mask(self, step, fails, boosts):
-            return policy.decision_mask(step, fails, boosts)
-
-    direct = expected_curve(fig2_recovery, policy, 30)
-    assert direct == expected_curve(fig2_recovery, ByState(), 30)
+    law = [float(mean * fig2_recovery.r) for mean, _ in mc_law_oracle(fig2_recovery, policy, 30)]
+    assert expected_curve(fig2_recovery, policy, 30).values == pytest.approx(law, rel=1e-12, abs=0)
 
 
 def test_dp_single_step(fig2_recovery):
@@ -858,7 +874,7 @@ def test_dp_tables_are_packed_bits(fig2_recovery):
     cells = 0
     for rem in range(1, n + 1):
         m = k.depth_end[n - rem]
-        table = policy._table(n - rem + 1)
+        table = policy.decision_mask(n - rem + 1, k.fails[:m], k.boosts[:m])
         assert table.dtype == bool and table.shape == (m,)
         assert np.array_equal(table, dense_tables[rem][k.fails[:m], k.boosts[:m]])
         cells += m
