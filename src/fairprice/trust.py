@@ -30,8 +30,9 @@ from .errors import ResourceCapError, ValidationError
 from .rational import Rational, as_fraction, brief_str
 
 DEFAULT_DP_CAP = 500
-# the kernel keeps about a dozen per-state arrays, ~100 bytes a state: 2^22
-# states is ~0.4 GB (Figure 2 reaches it near n = 3,750; states grow like 0.3 n^2)
+# the kernel keeps three per-state arrays, 24 bytes a state, and peaks near 29 while
+# it builds: 2^22 states is ~0.1 GB (Figure 2 reaches it near n = 3,750; states grow
+# like 0.3 n^2)
 KERNEL_STATE_CAP = 2**22
 # Monte Carlo holds ~170 bytes an occupied (state, successes) cell at its peak,
 # and no cell is empty, so cells never outnumber trials: spread-out runs of 10^6
@@ -364,7 +365,7 @@ class Policy:
         states by position)."""
         import numpy as np
 
-        rec = self.decision_mask(step, kernel.fails[states], kernel.boosts[states])
+        rec = self.decision_mask(step, *kernel.exponents(states))
         if not (isinstance(rec, np.ndarray) and rec.dtype == bool and rec.shape == states.shape):
             raise ValidationError(f"{self.name} decision_mask must return one bool per state, "
                                   f"got {np.asarray(rec).dtype} of shape {np.shape(rec)}")
@@ -398,8 +399,10 @@ class OptimalPolicy(Policy):
 
     tables[t], for t steps remaining, holds one decision per kernel state
     that can be occupied by then, the prefix of depth <= horizon - t, as
-    bits packed by `np.packbits`.  It looks states up by (fails, boosts) on
-    its own kernel, so it decides alike on any kernel, and refuses with
+    bits packed by `np.packbits`.  Tables with equal prefixes share storage:
+    where tables[t] equals tables[t-1] on its prefix it is tables[t-1], bits
+    past that prefix included.  It looks states up by (fails, boosts) on its
+    own kernel, so it decides alike on any kernel, and refuses with
     ValidationError a step past its horizon or a state it cannot occupy.
     """
 
@@ -432,7 +435,8 @@ class _Kernel(NamedTuple):
     (fails, boosts) is reachable within d steps iff fails + boosts <= d and
     boosts <= frontier[fails], from where a skip returns to full trust.
     States are sorted by depth fails + boosts, then fails, so those reachable
-    within d steps are the prefix [:depth_end[d]].  With g = 1 boosts never
+    within d steps are the prefix [:depth_end[d]]; `index` and `exponents`
+    convert between (fails, boosts) and that order.  With g = 1 boosts never
     change trust and stay 0.  Moves out of the deepest layer, which no caller
     takes, point back at the state.
     """
@@ -441,10 +445,8 @@ class _Kernel(NamedTuple):
     n: int
     frontier: np.ndarray  # per fails count, capped at n
     depth_end: np.ndarray
-    fails: np.ndarray
-    boosts: np.ndarray
     p: np.ndarray  # min(p0, p0 * l^fails * g^boosts)
-    skip: np.ndarray  # the next state after a skip and after a failure
+    skip: np.ndarray  # the next state after a skip and after a failure, as np.intp
     fail: np.ndarray
 
     def index(self, fails, boosts, depth: int) -> np.ndarray:
@@ -463,6 +465,14 @@ class _Kernel(NamedTuple):
         if self.tp.g == 1:
             b = np.zeros_like(b)
         return self.depth_end[a + b] - b - 1
+
+    def exponents(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(fails, boosts) of the state indices `states`: the inverse of `index`."""
+        import numpy as np
+
+        depth = np.searchsorted(self.depth_end, states, side="right")
+        boosts = self.depth_end[depth] - states - 1
+        return depth - boosts, boosts
 
     def arrivals(self, live: np.ndarray, rec: np.ndarray) -> np.ndarray:
         """The targets of the states `live` deciding `rec`: each state's success
@@ -500,30 +510,42 @@ def _kernel(tp: TrustParams, n: int) -> _Kernel:
     if tp.p0 < sys.float_info.min:  # float(p0) would be 0 or subnormal: every state's p wrong
         raise ResourceCapError(f"trust p0 = {brief_str(tp.p0)} lies beyond the float range")
     frontier, counts, ends = _layout(tp, n)
+    total, inner = int(ends[n]), int(ends[n - 1])
+    # (fails, boosts) per state in int32 work arrays (the cap keeps them below 2^22):
+    # depth d's states count boosts down from counts[d] - 1 to 0
+    boosts = np.repeat(ends[: n + 1].astype(np.int32), counts[: n + 1])
+    boosts -= np.arange(1, total + 1, dtype=np.int32)
+    fails = np.repeat(np.arange(n + 1, dtype=np.int32), counts[: n + 1])
+    fails -= boosts
+
     depths = np.arange(n + 2)
-    total = int(ends[n])
-    state = np.arange(total)
-    depth = np.repeat(depths, counts)[:total]
-    boosts = ends[depth] - state - 1
-    fails = depth - boosts
-
-    inner = depth < n
-    fail = np.where(inner, ends[depth + 1] - boosts - 1, state)
-    grow = state if tp.g == 1 else np.where(inner, ends[depth + 1] - boosts - 2, state)
-    skip = np.where(boosts == frontier[fails], 0, grow)
-
     p0f, lf = float(tp.p0), float(tp.l)
     gf = float(tp.g) if tp.g <= sys.float_info.max else math.inf
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         # np.power over one 0..n+1 array keeps the output bit-identical to the golden file
-        lpow = np.power(lf, depths)[fails]
-        gpow = np.power(gf, depths)[boosts]
-        p = np.minimum(p0f, p0f * (lpow * gpow))
-        far = (lpow < sys.float_info.min) & (fails > 0) | np.isinf(gpow)
-        if far.any():  # l^a underflows or g^b overflows: add logarithms
+        lpow, gpow = np.power(lf, depths), np.power(gf, depths)
+        p = lpow[fails]
+        if tp.g != 1:  # gpow is all 1 at g = 1
+            p *= gpow[boosts]
+        p *= p0f
+        np.minimum(p, p0f, out=p)
+        far_l, far_g = lpow < sys.float_info.min, np.isinf(gpow)
+        if far_l.any() or far_g.any():  # l^a underflows or g^b overflows: add logarithms
+            far = far_l[fails] | far_g[boosts]
             logp = fails[far] * _ln(tp.l) + boosts[far] * _ln(tp.g)
             p[far] = np.minimum(p0f, p0f * np.exp(logp))
-    return _Kernel(tp, n, frontier[: n + 1], ends[: n + 1], fails, boosts, p, skip, fail)
+    del fails, boosts  # before the move arrays take their place
+
+    # a failure moves from depth d < n to the same boosts at depth d + 1, counts[d + 1]
+    # states on; a skip to one boost more, one state before that, or, at the clamp
+    # frontier (fails a, boosts frontier[a]), to full trust; the deepest layer stays put
+    fail = np.arange(total, dtype=np.intp)
+    fail[:inner] += np.repeat(counts[1 : n + 1].astype(np.int32), counts[:n])
+    skip = fail - 1
+    skip[inner:] = fail[inner:]
+    a = np.flatnonzero(depths[: n + 1] + frontier[: n + 1] <= n)
+    skip[ends[a + frontier[a]] - frontier[a] - 1] = 0
+    return _Kernel(tp, n, frontier[: n + 1], ends[: n + 1], p, skip, fail)
 
 
 def _over_state_cap(n: int) -> ResourceCapError:
@@ -647,7 +669,8 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
     with V(0, .) = 0.  With t steps remaining only the kernel states of
     depth <= n - t can be occupied, so each sweep covers that prefix.  The
     curve holds V(t, initial) for t = 1..n.  Ties choose skip, so the tables
-    are deterministic; each is packed to one bit a state.  Horizons past
+    are deterministic; each is packed to one bit a state, or is the table
+    before it where that one agrees on its prefix.  Horizons past
     DEFAULT_DP_CAP raise ResourceCapError.
     """
     import numpy as np
@@ -662,13 +685,31 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
     curve = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing curve is refused at the end
         for rem in range(1, n + 1):
-            m = k.depth_end[n - rem]
+            m = int(k.depth_end[n - rem])
             p = k.p[:m]
+            # v and three prefix-sized arrays at most; IEEE sums and products
+            # commute, so each value is the recurrence's own to the bit
             v_skip = v[k.skip[:m]]
-            v_success = v[0] if tp.reset else v[:m]
-            v_rec = p * (rf + v_success) + (1.0 - p) * v[k.fail[:m]]
-            tables.append(np.packbits(v_rec > v_skip))  # strict: ties go to skip
-            v = np.maximum(v_skip, v_rec)
+            v_rec = v[k.fail[:m]]
+            q = 1.0 - p
+            v_rec *= q
+            if tp.reset:
+                np.multiply(p, rf + v[0], out=q)
+            else:
+                np.add(v[:m], rf, out=q)
+                q *= p
+            v_rec += q
+            bits = np.packbits(v_rec > v_skip)  # strict: ties go to skip
+            # a table that equals the one before on its prefix shares its storage;
+            # the low 8 * len(bits) - m bits of the last byte hold no state
+            last, prev = len(bits) - 1, tables[-1]
+            tail = 0xFF & 0xFF << (8 * last + 8 - m)
+            if (prev is not None and bits[last] == prev[last] & tail
+                    and np.array_equal(bits[:last], prev[:last])):
+                bits = prev
+            tables.append(bits)
+            v = np.maximum(v_skip, v_rec, out=v_skip)
+            del v_skip, v_rec, q  # the next sweep starts from v alone
             curve.append(float(v[0]))
     return _in_float_range(RewardCurve("optimal", tuple(curve))), OptimalPolicy(k, tables)
 
