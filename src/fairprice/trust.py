@@ -30,7 +30,7 @@ from .errors import ResourceCapError, ValidationError
 from .rational import Rational, as_fraction, brief_str
 
 DEFAULT_DP_CAP = 500
-# the kernel keeps three per-state arrays, 24 bytes a state, and peaks near 29 while
+# the kernel keeps four per-state arrays, 26 bytes a state, and peaks near 31 while
 # it builds: 2^22 states is ~0.1 GB (Figure 2 reaches it near n = 3,750; states grow
 # like 0.3 n^2)
 KERNEL_STATE_CAP = 2**22
@@ -446,6 +446,7 @@ class _Kernel(NamedTuple):
     frontier: np.ndarray  # per fails count, capped at n
     depth_end: np.ndarray
     p: np.ndarray  # min(p0, p0 * l^fails * g^boosts)
+    depth: np.ndarray  # fails + boosts, in the least unsigned dtype that holds n
     skip: np.ndarray  # the next state after a skip and after a failure, as np.intp
     fail: np.ndarray
 
@@ -470,9 +471,12 @@ class _Kernel(NamedTuple):
         """(fails, boosts) of the state indices `states`: the inverse of `index`."""
         import numpy as np
 
-        depth = np.searchsorted(self.depth_end, states, side="right")
-        boosts = self.depth_end[depth] - states - 1
-        return depth - boosts, boosts
+        fails = self.depth[states].astype(np.intp)  # the depth, less boosts below
+        boosts = self.depth_end.take(fails)
+        boosts -= states
+        boosts -= 1
+        fails -= boosts
+        return fails, boosts
 
     def arrivals(self, live: np.ndarray, rec: np.ndarray) -> np.ndarray:
         """The targets of the states `live` deciding `rec`: each state's success
@@ -511,12 +515,12 @@ def _kernel(tp: TrustParams, n: int) -> _Kernel:
         raise ResourceCapError(f"trust p0 = {brief_str(tp.p0)} lies beyond the float range")
     frontier, counts, ends = _layout(tp, n)
     total, inner = int(ends[n]), int(ends[n - 1])
-    # (fails, boosts) per state in int32 work arrays (the cap keeps them below 2^22):
-    # depth d's states count boosts down from counts[d] - 1 to 0
+    # each state's depth, and (fails, boosts) in int32 work arrays (the cap keeps
+    # them below 2^22): depth d's states count boosts down from counts[d] - 1 to 0
+    depth = np.repeat(np.arange(n + 1, dtype=np.min_scalar_type(n)), counts[: n + 1])
     boosts = np.repeat(ends[: n + 1].astype(np.int32), counts[: n + 1])
     boosts -= np.arange(1, total + 1, dtype=np.int32)
-    fails = np.repeat(np.arange(n + 1, dtype=np.int32), counts[: n + 1])
-    fails -= boosts
+    fails = depth - boosts
 
     depths = np.arange(n + 2)
     p0f, lf = float(tp.p0), float(tp.l)
@@ -525,8 +529,7 @@ def _kernel(tp: TrustParams, n: int) -> _Kernel:
         # np.power over one 0..n+1 array keeps the output bit-identical to the golden file
         lpow, gpow = np.power(lf, depths), np.power(gf, depths)
         p = lpow[fails]
-        if tp.g != 1:  # gpow is all 1 at g = 1
-            p *= gpow[boosts]
+        p *= gpow[boosts]
         p *= p0f
         np.minimum(p, p0f, out=p)
         far_l, far_g = lpow < sys.float_info.min, np.isinf(gpow)
@@ -545,7 +548,7 @@ def _kernel(tp: TrustParams, n: int) -> _Kernel:
     skip[inner:] = fail[inner:]
     a = np.flatnonzero(depths[: n + 1] + frontier[: n + 1] <= n)
     skip[ends[a + frontier[a]] - frontier[a] - 1] = 0
-    return _Kernel(tp, n, frontier[: n + 1], ends[: n + 1], p, skip, fail)
+    return _Kernel(tp, n, frontier[: n + 1], ends[: n + 1], p, depth, skip, fail)
 
 
 def _over_state_cap(n: int) -> ResourceCapError:

@@ -171,6 +171,19 @@ def test_exponents_invert_the_state_index(tp, n):
     assert k.skip.dtype == k.fail.dtype == np.intp and k.p.dtype == np.float64
 
 
+@pytest.mark.parametrize("n", [255, 256, 2**16 - 1, 2**16])
+def test_exponents_across_the_depth_widths(n):
+    """Each state's depth is kept in the least unsigned dtype that holds n;
+    `exponents` inverts `index` on both sides of each width (g = 1: one
+    state a depth)."""
+    k = _kernel(TrustParams("0.5", "0.66", 1, 1, reset=False), n)
+    assert k.depth.dtype == np.min_scalar_type(n)
+    every = np.arange(len(k.p))
+    fails, boosts = k.exponents(every)
+    assert np.array_equal(fails, every) and not boosts.any()
+    assert np.array_equal(k.index(fails, boosts, n), every)
+
+
 @pytest.mark.parametrize(
     "l, g", [("1e-500", "1e400"), ("1e-300", "1e250"), (0, 2), ("0.01", 100), ("0.999", "1.0001")]
 )
