@@ -30,9 +30,9 @@ from .errors import ResourceCapError, ValidationError
 from .rational import Rational, as_fraction, brief_str
 
 DEFAULT_DP_CAP = 500
-# the kernel keeps four per-state arrays, 26 bytes a state, and peaks near 31 while
-# it builds: 2^22 states is ~0.1 GB (Figure 2 reaches it near n = 3,750; states grow
-# like 0.3 n^2)
+# the kernel keeps two per-state arrays, 10 bytes a state, and builds them with no
+# per-state temporary: 2^22 states is ~0.04 GB (Figure 2 reaches it near n = 3,750;
+# states grow like 0.3 n^2)
 KERNEL_STATE_CAP = 2**22
 # Monte Carlo holds ~170 bytes an occupied (state, successes) cell at its peak,
 # and no cell is empty, so cells never outnumber trials: spread-out runs of 10^6
@@ -429,26 +429,34 @@ class OptimalPolicy(Policy):
 
 class _Kernel(NamedTuple):
     """The trust states reachable from (0, 0) within n steps, with their
-    success probabilities and skip and failure moves as flat index arrays;
-    a success moves to state 0, full trust, if `tp.reset`, else stays put.
+    success probabilities and depths; a success moves to state 0, full
+    trust, if `tp.reset`, else stays put.
 
     (fails, boosts) is reachable within d steps iff fails + boosts <= d and
     boosts <= frontier[fails], from where a skip returns to full trust.
     States are sorted by depth fails + boosts, then fails, so those reachable
     within d steps are the prefix [:depth_end[d]]; `index` and `exponents`
     convert between (fails, boosts) and that order.  With g = 1 boosts never
-    change trust and stay 0.  Moves out of the deepest layer, which no caller
-    takes, point back at the state.
+    change trust and stay 0.
+
+    No move is stored: each depth holds as many states as the one before or
+    one more, the new one first, so a failure, which keeps the boosts, moves
+    a state of depth d jump[d] = the count of depth d + 1 states on, and a
+    skip one state less far.  Only the first state of a depth that does not
+    grow lies on the frontier; clamp[d] is that state, whose skip returns to
+    full trust, or -1 (always at g = 1, where every depth holds one state and
+    a skip stays put).  `arrivals` applies this rule.  Moves out of the
+    deepest layer, which no caller takes, land past the kernel.
     """
 
     tp: TrustParams
     n: int
     frontier: np.ndarray  # per fails count, capped at n
     depth_end: np.ndarray
+    jump: np.ndarray  # per depth, as np.intp
+    clamp: np.ndarray
     p: np.ndarray  # min(p0, p0 * l^fails * g^boosts)
     depth: np.ndarray  # fails + boosts, in the least unsigned dtype that holds n
-    skip: np.ndarray  # the next state after a skip and after a failure, as np.intp
-    fail: np.ndarray
 
     def index(self, fails, boosts, depth: int) -> np.ndarray:
         """Indices of the states (fails, boosts), which must all be
@@ -484,8 +492,12 @@ class _Kernel(NamedTuple):
         failure targets of the states that recommend."""
         import numpy as np
 
+        d = self.depth[live].astype(np.intp)
+        fail = self.jump.take(d)
+        fail += live
+        skip = np.where(live == self.clamp.take(d), 0, fail - 1)
         success = 0 if self.tp.reset else live
-        return np.concatenate([np.where(rec, success, self.skip[live]), self.fail[live[rec]]])
+        return np.concatenate([np.where(rec, success, skip), fail[rec]])
 
 
 def _layout(tp: TrustParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -514,41 +526,32 @@ def _kernel(tp: TrustParams, n: int) -> _Kernel:
     if tp.p0 < sys.float_info.min:  # float(p0) would be 0 or subnormal: every state's p wrong
         raise ResourceCapError(f"trust p0 = {brief_str(tp.p0)} lies beyond the float range")
     frontier, counts, ends = _layout(tp, n)
-    total, inner = int(ends[n]), int(ends[n - 1])
-    # each state's depth, and (fails, boosts) in int32 work arrays (the cap keeps
-    # them below 2^22): depth d's states count boosts down from counts[d] - 1 to 0
-    depth = np.repeat(np.arange(n + 1, dtype=np.min_scalar_type(n)), counts[: n + 1])
-    boosts = np.repeat(ends[: n + 1].astype(np.int32), counts[: n + 1])
-    boosts -= np.arange(1, total + 1, dtype=np.int32)
-    fails = depth - boosts
-
     depths = np.arange(n + 2)
+    depth = np.repeat(depths[: n + 1].astype(np.min_scalar_type(n)), counts[: n + 1])
+    # depth d's states run fails d - c + 1 .. d and boosts c - 1 .. 0, c = counts[d]:
+    # its values are slices of the powers, so the build keeps no per-state exponents
+    layers = list(zip(range(n + 1), (ends - counts).tolist(), counts.tolist()))
+    p = np.empty(len(depth))
     p0f, lf = float(tp.p0), float(tp.l)
     gf = float(tp.g) if tp.g <= sys.float_info.max else math.inf
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         # np.power over one 0..n+1 array keeps the output bit-identical to the golden file
         lpow, gpow = np.power(lf, depths), np.power(gf, depths)
-        p = lpow[fails]
-        p *= gpow[boosts]
+        for d, s, c in layers:
+            np.multiply(lpow[d - c + 1 : d + 1], gpow[c - 1 :: -1], out=p[s : s + c])
         p *= p0f
         np.minimum(p, p0f, out=p)
         far_l, far_g = lpow < sys.float_info.min, np.isinf(gpow)
         if far_l.any() or far_g.any():  # l^a underflows or g^b overflows: add logarithms
-            far = far_l[fails] | far_g[boosts]
-            logp = fails[far] * _ln(tp.l) + boosts[far] * _ln(tp.g)
-            p[far] = np.minimum(p0f, p0f * np.exp(logp))
-    del fails, boosts  # before the move arrays take their place
-
-    # a failure moves from depth d < n to the same boosts at depth d + 1, counts[d + 1]
-    # states on; a skip to one boost more, one state before that, or, at the clamp
-    # frontier (fails a, boosts frontier[a]), to full trust; the deepest layer stays put
-    fail = np.arange(total, dtype=np.intp)
-    fail[:inner] += np.repeat(counts[1 : n + 1].astype(np.int32), counts[:n])
-    skip = fail - 1
-    skip[inner:] = fail[inner:]
-    a = np.flatnonzero(depths[: n + 1] + frontier[: n + 1] <= n)
-    skip[ends[a + frontier[a]] - frontier[a] - 1] = 0
-    return _Kernel(tp, n, frontier[: n + 1], ends[: n + 1], p, depth, skip, fail)
+            for d, s, c in layers:
+                far = np.flatnonzero(far_l[d - c + 1 : d + 1] | far_g[c - 1 :: -1])
+                logp = (d - c + 1 + far) * _ln(tp.l) + (c - 1 - far) * _ln(tp.g)
+                p[s + far] = np.minimum(p0f, p0f * np.exp(logp))
+    # the first state of depth d lies on the frontier iff depth d + 1 does not grow;
+    # at g = 1 no depth grows, as no boost is kept, and a skip stays put
+    clamp = np.where((counts[1:] == counts[:-1]) & (tp.g != 1), ends[:-1] - counts[:-1], -1)
+    return _Kernel(tp, n, frontier[: n + 1], ends[: n + 1], counts[1:].astype(np.intp),
+                   clamp.astype(np.intp), p, depth)
 
 
 def _over_state_cap(n: int) -> ResourceCapError:
@@ -671,10 +674,15 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
                        p(s) * (r + V(t-1, success(s))) + (1-p(s)) * V(t-1, fail(s)) )
     with V(0, .) = 0.  With t steps remaining only the kernel states of
     depth <= n - t can be occupied, so each sweep covers that prefix.  The
-    curve holds V(t, initial) for t = 1..n.  Ties choose skip, so the tables
-    are deterministic; each is packed to one bit a state, or is the table
-    before it where that one agrees on its prefix.  Horizons past
-    DEFAULT_DP_CAP raise ResourceCapError.
+    curve holds V(t, initial) for t = 1..n.  A sweep reads no move array:
+    the values after a failure are V(t-1) on states 1.. less the first state
+    of every depth that grows, and those after a skip that array shifted by
+    one place, with each depth's first state set from its own skip target
+    (see `_Kernel`); both live with V and 1 - p in one block allocated once.
+    Ties choose
+    skip, so the tables are deterministic; each is packed to one bit a
+    state, or is the table before it where that one agrees on its prefix.
+    Horizons past DEFAULT_DP_CAP raise ResourceCapError.
     """
     import numpy as np
 
@@ -683,25 +691,40 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
         raise ResourceCapError(f"horizon {n} exceeds the DP cap of {DEFAULT_DP_CAP}")
     rf = _float_reward(tp)
     k = _kernel(tp, n)
-    v = np.zeros(k.depth_end[n])
+    ends = k.depth_end
+    counts = np.diff(ends, prepend=0)
+    starts = ends - counts
+    # a failure moves the states of depth < d, in order, onto states 1..ends[d] - 1
+    # less the first state of every depth that grows; a skip moves each state but
+    # the first of a depth to one state before its failure target
+    fail_targets = np.ones(ends[n], dtype=bool)
+    fail_targets[starts[1:][counts[1:] > counts[:-1]]] = False
+    firsts = starts[:n]
+    first_skips = k.arrivals(firsts, np.zeros(n, dtype=bool))
+    # one block for all sweeps: v, the values after a failure and after a skip, and 1 - p
+    work = np.zeros((4, ends[n]))
+    v, q = work[0], work[3]
+    np.subtract(1.0, k.p, out=q)
     tables: list[np.ndarray | None] = [None]
     curve = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing curve is refused at the end
         for rem in range(1, n + 1):
-            m = int(k.depth_end[n - rem])
-            p = k.p[:m]
-            # v and three prefix-sized arrays at most; IEEE sums and products
-            # commute, so each value is the recurrence's own to the bit
-            v_skip = v[k.skip[:m]]
-            v_rec = v[k.fail[:m]]
-            q = 1.0 - p
-            v_rec *= q
+            d = n - rem
+            m, e = int(ends[d]), int(ends[d + 1])
+            p, out = k.p[:m], v[:m]
+            v_rec, v_skip = work[1, :m], work[2, :m]
+            v_rec[:] = v[1:e][fail_targets[1:e]]
+            v_skip[1:] = v_rec[:-1]
+            v_skip[firsts[: d + 1]] = v[first_skips[: d + 1]]
+            # IEEE sums and products commute, so each value is the recurrence's
+            # own to the bit; v's prefix takes the success term, then the result
             if tp.reset:
-                np.multiply(p, rf + v[0], out=q)
+                np.multiply(p, rf + v[0], out=out)
             else:
-                np.add(v[:m], rf, out=q)
-                q *= p
-            v_rec += q
+                out += rf
+                out *= p
+            v_rec *= q[:m]
+            v_rec += out
             bits = np.packbits(v_rec > v_skip)  # strict: ties go to skip
             # a table that equals the one before on its prefix shares its storage;
             # the low 8 * len(bits) - m bits of the last byte hold no state
@@ -711,8 +734,7 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
                     and np.array_equal(bits[:last], prev[:last])):
                 bits = prev
             tables.append(bits)
-            v = np.maximum(v_skip, v_rec, out=v_skip)
-            del v_skip, v_rec, q  # the next sweep starts from v alone
+            np.maximum(v_skip, v_rec, out=out)
             curve.append(float(v[0]))
     return _in_float_range(RewardCurve("optimal", tuple(curve))), OptimalPolicy(k, tables)
 

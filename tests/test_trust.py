@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
@@ -81,17 +82,29 @@ def _check_arrivals(tp, k):
             assert _state(k, skip[s]) == ((want[0], 0) if tp.g == 1 else want)
 
 
+def _skip(kernel, index):
+    """The state a skip from state `index` moves to, through `arrivals`."""
+    return int(kernel.arrivals(np.array([index]), np.array([False]))[0])
+
+
+def _fail(kernel, index):
+    """The state a failure from state `index` moves to, through `arrivals`."""
+    return int(kernel.arrivals(np.array([index]), np.array([True]))[1])
+
+
 def test_state_transitions_fig2():
     tp = TrustParams("0.5", "0.66", "1.33", 1, reset=True)
     k = _kernel(tp, 10)
     s0 = 0
     assert _state(k, s0) == (0, 0)
-    assert k.skip[s0] == s0  # full trust stays clamped
-    s1 = k.fail[s0]
-    assert _state(k, s1) == (1, 0)
-    s2 = k.skip[s1]
-    assert _state(k, s2) == (1, 1)  # 0.66 * 1.33 < 1: not recovered yet
-    assert k.skip[s2] == s0  # 0.66 * 1.33^2 >= 1: clamp to full trust
+    assert _skip(k, s0) == s0  # full trust stays clamped
+    assert trust_moves(tp, (0, 0))["skip"] == (0, 0)
+    s1 = _fail(k, s0)
+    assert _state(k, s1) == (1, 0) == trust_moves(tp, (0, 0))["fail"]
+    s2 = _skip(k, s1)
+    assert _state(k, s2) == (1, 1) == trust_moves(tp, (1, 0))["skip"]  # 0.66 * 1.33 < 1: not recovered yet
+    assert _skip(k, s2) == s0  # 0.66 * 1.33^2 >= 1: clamp to full trust
+    assert trust_moves(tp, (1, 1))["skip"] == (0, 0)
     # (1, 1) recommends: a success resets to full trust, a failure adds one
     assert k.arrivals(np.array([s2]), np.array([True])).tolist() == [s0, k.index(2, 1, 3)]
     no_reset = _kernel(TrustParams("0.5", "0.66", "1.33", 1, reset=False), 10)
@@ -109,11 +122,13 @@ def test_state_transitions_fig2():
 def test_state_values_stay_in_range():
     tp = TrustParams("0.5", "0.66", "1.33", 1, reset=True)
     k = _kernel(tp, 20)
-    state = 0
+    state, exact = 0, (0, 0)
     seen = set()
     for move in [0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0]:  # 1 = fail, 0 = skip
-        state = k.fail[state] if move else k.skip[state]
-        seen.add(int(state))
+        state = _fail(k, state) if move else _skip(k, state)
+        exact = trust_moves(tp, exact)["fail" if move else "skip"]
+        assert _state(k, state) == exact
+        seen.add(state)
     for s in seen:
         assert 0 < k.p[s] <= tp.p0
         assert (_state(k, s) == (0, 0)) == (k.p[s] == tp.p0)
@@ -168,7 +183,61 @@ def test_exponents_invert_the_state_index(tp, n):
     for live in (every, every.astype(np.int32)):
         for rec in (np.ones(len(every), dtype=bool), np.arange(len(every)) % 2 == 0):
             assert k.arrivals(live, rec).dtype == np.intp
-    assert k.skip.dtype == k.fail.dtype == np.intp and k.p.dtype == np.float64
+    assert k.jump.dtype == k.clamp.dtype == np.intp and k.p.dtype == np.float64
+
+
+tie_params = st.builds(
+    lambda p0, lg, reset: TrustParams(p0, *lg, 1, reset=reset),
+    st.fractions(min_value=F(1, 20), max_value=F(19, 20), max_denominator=100),
+    st.sampled_from([(F(1, 2), 2), (F(1, 4), 2), (F(1, 2), 1), (F(9, 10), 1)]),  # l * g^m = 1, and g = 1
+    st.booleans(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tp=st.one_of(trust_params, tie_params), n=st.integers(1, 40))
+def test_depths_grow_until_a_skip_returns_to_full_trust(tp, n):
+    """The arithmetic `arrivals` and the DP move by: each depth holds as many
+    states as the one before or one more, and with g > 1 depth d + 1 does not
+    grow exactly when `trust_moves` skips depth d's first state to (0, 0), the
+    only state of depth d that it skips there.  With g = 1 the kernel merges
+    the boosts, so no depth grows past its one state."""
+    k = _kernel(tp, n)
+    counts = np.diff(k.depth_end, prepend=0)
+    assert counts[0] == 1 and set(np.diff(counts).tolist()) <= {0, 1}
+    for d in range(n):
+        first = k.depth_end[d] - counts[d]
+        to_full = [trust_moves(tp, _state(k, s))["skip"] == (0, 0) for s in range(first, k.depth_end[d])]
+        if tp.g == 1:
+            assert counts[d + 1] == 1
+        else:
+            assert (counts[d + 1] == counts[d]) == to_full[0]
+            assert not any(to_full[1:])
+
+
+def test_kernel_keeps_ten_bytes_a_state(fig2_recovery):
+    """The kernel keeps per state only its probability (float64) and depth
+    (uint16 below n = 65,536): at Figure 2 with recovery, n = 500, 745,240
+    bytes for 74,524 states, where skip and failure index arrays made it
+    1,937,624."""
+    k = _kernel(fig2_recovery, 500)
+    per_state = [a for a in k if isinstance(a, np.ndarray) and len(a) == len(k.p)]
+    assert len(k.p) == 74_524
+    assert sum(a.nbytes for a in per_state) == 745_240
+
+
+def test_kernel_build_peaks_below_sixteen_bytes_a_state(fig2_recovery):
+    """The build makes no per-state temporaries: its traced peak stays within
+    16 bytes a state (10 kept) at Figure 2 with recovery, n = 300."""
+    _kernel(fig2_recovery, 5)  # numpy's lazily built internals, outside the trace
+    _kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        k = _kernel(fig2_recovery, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * len(k.p)
 
 
 @pytest.mark.parametrize("n", [255, 256, 2**16 - 1, 2**16])
