@@ -610,7 +610,8 @@ def expected_curve(tp: TrustParams, policy: Policy, n: int, *, prune: float = 0.
     """Exact-expectation cumulative reward curve of a fixed policy.
 
     Moves the state distribution forward over the states that carry
-    probability; probabilities are float64, clamping is exact.  States
+    probability, summing each step's arrivals in one buffer over the kernel
+    allocated once; probabilities are float64, clamping is exact.  States
     carrying less than `prune` probability are dropped as they arise,
     undercounting the curve by at most n * prune * r per step (default 0:
     keep everything).
@@ -623,6 +624,7 @@ def expected_curve(tp: TrustParams, policy: Policy, n: int, *, prune: float = 0.
     k = _kernel(tp, n)
     live = np.zeros(1, dtype=np.intp)  # states with probability, and that probability
     mass = np.ones(1)
+    acc = np.zeros(len(k.p))  # zero again wherever a step has read it
     cum = 0.0
     values = []
     for step in range(1, n + 1):
@@ -631,9 +633,12 @@ def expected_curve(tp: TrustParams, policy: Policy, n: int, *, prune: float = 0.
         won = mass * p
         cum += float(won[rec].sum()) * rf
         weight = np.concatenate([np.where(rec, won, mass), (mass * (1.0 - p))[rec]])
-        acc = np.bincount(k.arrivals(live, rec), weight)
-        live = np.flatnonzero(acc >= prune if prune else acc != 0)
+        to = k.arrivals(live, rec)
+        np.add.at(acc, to, weight)
+        top = acc[: k.depth_end[step]]  # every arrival lies within depth <= step
+        live = np.flatnonzero(top >= prune if prune else top != 0)
         mass = acc[live]
+        acc[to] = 0.0
         values.append(cum)
     return _in_float_range(RewardCurve(policy.name, tuple(values)))
 
