@@ -684,10 +684,9 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
     of every depth that grows, and those after a skip that array shifted by
     one place, with each depth's first state set from its own skip target
     (see `_Kernel`); both live with V and 1 - p in one block allocated once.
-    Ties choose
-    skip, so the tables are deterministic; each is packed to one bit a
-    state, or is the table before it where that one agrees on its prefix.
-    Horizons past DEFAULT_DP_CAP raise ResourceCapError.
+    Ties choose skip, so the tables are deterministic; each is packed to one
+    bit a state, or is the table before it where that one agrees on its
+    prefix.  Horizons past DEFAULT_DP_CAP raise ResourceCapError.
     """
     import numpy as np
 
