@@ -359,18 +359,6 @@ class Policy:
         check_count("boosts", boosts, least=0)
         return bool(self.decision_mask(step, np.array([fails]), np.array([boosts]))[0])
 
-    def _on_states(self, step: int, kernel: _Kernel, states: np.ndarray) -> np.ndarray:
-        """The decisions for an array of kernel state indices; ValidationError
-        unless `decision_mask` gives one bool per state (0/1 ints would index
-        states by position)."""
-        import numpy as np
-
-        rec = self.decision_mask(step, *kernel.exponents(states))
-        if not (isinstance(rec, np.ndarray) and rec.dtype == bool and rec.shape == states.shape):
-            raise ValidationError(f"{self.name} decision_mask must return one bool per state, "
-                                  f"got {np.asarray(rec).dtype} of shape {np.shape(rec)}")
-        return rec
-
 
 class EveryK(Policy):
     """Recommend every k-th step (steps k, 2k, ...): floor(n/k) times in n steps."""
@@ -435,8 +423,8 @@ class _Kernel(NamedTuple):
     (fails, boosts) is reachable within d steps iff fails + boosts <= d and
     boosts <= frontier[fails], from where a skip returns to full trust.
     States are sorted by depth fails + boosts, then fails, so those reachable
-    within d steps are the prefix [:depth_end[d]]; `index` and `exponents`
-    convert between (fails, boosts) and that order.  With g = 1 boosts never
+    within d steps are the prefix [:depth_end[d]]; `index` finds a state's
+    place in that order from its (fails, boosts).  With g = 1 boosts never
     change trust and stay 0.
 
     No move is stored: each depth holds as many states as the one before or
@@ -445,8 +433,8 @@ class _Kernel(NamedTuple):
     skip one state less far.  Only the first state of a depth that does not
     grow lies on the frontier; clamp[d] is that state, whose skip returns to
     full trust, or -1 (always at g = 1, where every depth holds one state and
-    a skip stays put).  `arrivals` applies this rule.  Moves out of the
-    deepest layer, which no caller takes, land past the kernel.
+    a skip stays put).  `step` decides and moves states by this rule.  Moves
+    out of the deepest layer, which no caller takes, land past the kernel.
     """
 
     tp: TrustParams
@@ -459,45 +447,56 @@ class _Kernel(NamedTuple):
     depth: np.ndarray  # fails + boosts, in the least unsigned dtype that holds n
 
     def index(self, fails, boosts, depth: int) -> np.ndarray:
-        """Indices of the states (fails, boosts), which must all be
-        reachable within `depth` steps."""
+        """Indices of the states (fails, boosts), integer arrays of one
+        broadcast shape whose states must all be reachable within `depth`
+        steps; ValidationError otherwise.  Object arrays, which hold Python
+        ints past int64, are never reachable."""
         import numpy as np
 
-        a = np.asarray(fails, dtype=np.int64)
-        b = np.asarray(boosts, dtype=np.int64)
-        ok = (a >= 0) & (b >= 0) & (a + b <= depth)
+        fails, boosts = np.asarray(fails), np.asarray(boosts)
+        if fails.dtype.kind not in "iu" or boosts.dtype.kind not in "iu":
+            if "O" in (fails.dtype.kind, boosts.dtype.kind):
+                raise ValidationError(f"states past int64 are not reachable within {depth} steps")
+            raise ValidationError(
+                f"fails and boosts must be integers, got {fails.dtype} and {boosts.dtype}")
+        # uint64 past int64 turns negative: not reachable
+        a, b = fails.astype(np.int64, copy=False), boosts.astype(np.int64, copy=False)
+        try:
+            ok = (a >= 0) & (b >= 0) & (a + b <= depth)
+        except ValueError:
+            raise ValidationError(f"fails of shape {a.shape} and boosts of shape {b.shape} "
+                                  "do not broadcast to one shape") from None
         ok &= b <= self.frontier[np.where(ok, a, 0)]
         if not ok.all():
             i = np.flatnonzero(~ok)[0]
-            state = f"(fails={a.flat[i]}, boosts={b.flat[i]})"
+            fails, boosts = np.broadcast_arrays(fails, boosts)
+            state = f"(fails={fails.flat[i]}, boosts={boosts.flat[i]})"
             raise ValidationError(f"state {state} is not reachable within {depth} steps")
         if self.tp.g == 1:
             b = np.zeros_like(b)
         return self.depth_end[a + b] - b - 1
 
-    def exponents(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(fails, boosts) of the state indices `states`: the inverse of `index`."""
-        import numpy as np
-
-        fails = self.depth[states].astype(np.intp)  # the depth, less boosts below
-        boosts = self.depth_end.take(fails)
-        boosts -= states
-        boosts -= 1
-        fails -= boosts
-        return fails, boosts
-
-    def arrivals(self, live: np.ndarray, rec: np.ndarray) -> np.ndarray:
-        """The targets of the states `live` deciding `rec`: each state's success
-        target where it recommends and its skip target elsewhere, then the
-        failure targets of the states that recommend."""
+    def step(self, policy: Policy, step: int, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`policy`'s decisions at `step` for the states `live`, asked by (fails,
+        boosts), and their targets: each state's success target where it
+        recommends and its skip target elsewhere, then the failure targets of
+        those that recommend.  ValidationError unless `decision_mask` gives one
+        bool per state (0/1 ints would index states by position)."""
         import numpy as np
 
         d = self.depth[live].astype(np.intp)
+        boosts = self.depth_end.take(d)
+        boosts -= live
+        boosts -= 1
+        rec = policy.decision_mask(step, d - boosts, boosts)
+        if not (isinstance(rec, np.ndarray) and rec.dtype == bool and rec.shape == live.shape):
+            raise ValidationError(f"{policy.name} decision_mask must return one bool per state, "
+                                  f"got {np.asarray(rec).dtype} of shape {np.shape(rec)}")
         fail = self.jump.take(d)
         fail += live
         skip = np.where(live == self.clamp.take(d), 0, fail - 1)
         success = 0 if self.tp.reset else live
-        return np.concatenate([np.where(rec, success, skip), fail[rec]])
+        return rec, np.concatenate([np.where(rec, success, skip), fail[rec]])
 
 
 def _layout(tp: TrustParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -628,12 +627,11 @@ def expected_curve(tp: TrustParams, policy: Policy, n: int, *, prune: float = 0.
     cum = 0.0
     values = []
     for step in range(1, n + 1):
-        rec = policy._on_states(step, k, live)
+        rec, to = k.step(policy, step, live)
         p = k.p[live]
         won = mass * p
         cum += float(won[rec].sum()) * rf
         weight = np.concatenate([np.where(rec, won, mass), (mass * (1.0 - p))[rec]])
-        to = k.arrivals(live, rec)
         np.add.at(acc, to, weight)
         top = acc[: k.depth_end[step]]  # every arrival lies within depth <= step
         live = np.flatnonzero(top >= prune if prune else top != 0)
@@ -682,8 +680,8 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
     curve holds V(t, initial) for t = 1..n.  A sweep reads no move array:
     the values after a failure are V(t-1) on states 1.. less the first state
     of every depth that grows, and those after a skip that array shifted by
-    one place, with each depth's first state set from its own skip target
-    (see `_Kernel`); both live with V and 1 - p in one block allocated once.
+    one place, with each depth's first state set from its skip target (from
+    `_Kernel.jump` and `clamp`); both live with V and 1 - p in one block.
     Ties choose skip, so the tables are deterministic; each is packed to one
     bit a state, or is the table before it where that one agrees on its
     prefix.  Horizons past DEFAULT_DP_CAP raise ResourceCapError.
@@ -699,12 +697,12 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
     counts = np.diff(ends, prepend=0)
     starts = ends - counts
     # a failure moves the states of depth < d, in order, onto states 1..ends[d] - 1
-    # less the first state of every depth that grows; a skip moves each state but
-    # the first of a depth to one state before its failure target
+    # less the first state of every depth that grows; a skip moves a state to one
+    # place before its failure target, or a depth's first state on the frontier to 0
     fail_targets = np.ones(ends[n], dtype=bool)
     fail_targets[starts[1:][counts[1:] > counts[:-1]]] = False
     firsts = starts[:n]
-    first_skips = k.arrivals(firsts, np.zeros(n, dtype=bool))
+    first_skips = np.where(k.clamp[:n] < 0, firsts + k.jump[:n] - 1, 0)
     # one block for all sweeps: v, the values after a failure and after a skip, and 1 - p
     work = np.zeros((4, ends[n]))
     v, q = work[0], work[3]
@@ -775,12 +773,12 @@ def mc_simulate(tp: TrustParams, policy: Policy, n: int, trials: int, seed: int)
     values, errs = [], []
     for step in range(1, n + 1):
         live, c = np.divmod(key, n + 1)
-        rec = policy._on_states(step, k, live)
+        rec, to = k.step(policy, step, live)
         won = np.zeros_like(count)
         won[rec] = rng.binomial(count[rec], k.p[live[rec]])
         s1 += int(won.sum())
         s2 += int(won @ (2 * c + 1))  # a win takes c^2 to c^2 + 2c + 1
-        to = k.arrivals(live, rec) * (n + 1) + np.concatenate([c + rec, c[rec]])  # winners gain a success
+        to = to * (n + 1) + np.concatenate([c + rec, c[rec]])  # winners gain a success
         weight = np.concatenate([np.where(rec, won, count), (count - won)[rec]])
         kept = weight > 0
         key, at = np.unique(to[kept], return_inverse=True)

@@ -23,7 +23,7 @@ from fairprice.corelp import (
 from fairprice.errors import ValidationError
 from fairprice.fair_division import ArgumentGame, BargainingProblem
 from fairprice.games import Game, PayoffVector
-from fairprice.trust import RewardCurve, TrustParams
+from fairprice.trust import Policy, RewardCurve, TrustParams
 
 
 Worth = Callable[[Iterable[str]], Fraction]
@@ -374,6 +374,35 @@ def trust_moves(tp: TrustParams, state: tuple[int, int]) -> dict[str, tuple[int,
     a, b = state
     skip = (0, 0) if tp.l**a * tp.g ** (b + 1) >= 1 else (a, b + 1)
     return {"skip": skip, "fail": (a + 1, b), "success": (0, 0) if tp.reset else state}
+
+
+class MaskPolicy(Policy):
+    """Answers every question with `mask` as given, whatever the states:
+    a test sets the decisions of a kernel step with it, or a malformed
+    answer."""
+
+    name = "mask"
+
+    def __init__(self, mask):
+        self.mask = mask
+
+    def decision_mask(self, step, fails, boosts):
+        return self.mask
+
+
+class RecordingPolicy(MaskPolicy):
+    """Keeps a copy of the (fails, boosts) arrays of each question in
+    `asked`, and answers `mask`, or skip in every state without one."""
+
+    name = "recording"
+
+    def __init__(self, mask=None):
+        super().__init__(mask)
+        self.asked = []
+
+    def decision_mask(self, step, fails, boosts):
+        self.asked.append((fails.copy(), boosts.copy()))
+        return np.zeros(np.shape(fails), dtype=bool) if self.mask is None else self.mask
 
 
 def _walk_cells(tp: TrustParams, policy, n: int, start, split):

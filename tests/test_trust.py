@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    MaskPolicy,
+    RecordingPolicy,
     clamp_columns,
     decay_series_oracle,
     dense_dp_oracle,
@@ -59,37 +61,57 @@ def test_reset_must_be_a_bool(reset):
         TrustParams("0.5", "0.66", 1, 1, reset=False)._replace(reset=reset)
 
 
+def _exponents(kernel, states):
+    """(fails, boosts) of the state indices `states`, as `_Kernel.step` asks
+    a policy about them."""
+    policy = RecordingPolicy()
+    kernel.step(policy, 1, np.asarray(states))
+    return policy.asked[0]
+
+
+def _states(kernel):
+    """(fails, boosts) of every kernel state, in index order."""
+    fails, boosts = _exponents(kernel, np.arange(len(kernel.p)))
+    return list(zip(fails.tolist(), boosts.tolist()))
+
+
 def _state(kernel, index):
-    fails, boosts = kernel.exponents(np.array([index]))
+    fails, boosts = _exponents(kernel, [index])
     return int(fails[0]), int(boosts[0])
 
 
-def _check_arrivals(tp, k):
-    """`k.arrivals` moves every state as `trust_moves` does: a success from
+def _targets(kernel, live, rec):
+    """The targets `_Kernel.step` gives the states `live` deciding `rec`."""
+    return kernel.step(MaskPolicy(np.asarray(rec, dtype=bool)), 1, np.asarray(live))[1]
+
+
+def _check_moves(tp, k):
+    """`k.step` moves every state as `trust_moves` does: a success from
     every state, a failure and a skip from those of depth < n, which have
     moves; with g = 1 a skip keeps boosts at 0."""
     every = np.arange(len(k.p))
+    states = _states(k)
     inner = k.depth_end[k.n - 1]  # states are sorted by depth
-    recommend = k.arrivals(every, np.ones(len(every), dtype=bool))
-    skip = k.arrivals(every, np.zeros(len(every), dtype=bool))
+    recommend = _targets(k, every, np.ones(len(every)))
+    skip = _targets(k, every, np.zeros(len(every)))
     assert len(recommend) == 2 * len(every) and len(skip) == len(every)
     for s in every:
-        moves = trust_moves(tp, _state(k, s))
-        assert _state(k, recommend[s]) == moves["success"]
+        moves = trust_moves(tp, states[s])
+        assert states[recommend[s]] == moves["success"]
         if s < inner:
-            assert _state(k, recommend[len(every) + s]) == moves["fail"]
+            assert states[recommend[len(every) + s]] == moves["fail"]
             want = moves["skip"]
-            assert _state(k, skip[s]) == ((want[0], 0) if tp.g == 1 else want)
+            assert states[skip[s]] == ((want[0], 0) if tp.g == 1 else want)
 
 
 def _skip(kernel, index):
-    """The state a skip from state `index` moves to, through `arrivals`."""
-    return int(kernel.arrivals(np.array([index]), np.array([False]))[0])
+    """The state a skip from state `index` moves to, through `step`."""
+    return int(_targets(kernel, [index], [False])[0])
 
 
 def _fail(kernel, index):
-    """The state a failure from state `index` moves to, through `arrivals`."""
-    return int(kernel.arrivals(np.array([index]), np.array([True]))[1])
+    """The state a failure from state `index` moves to, through `step`."""
+    return int(_targets(kernel, [index], [True])[1])
 
 
 def test_state_transitions_fig2():
@@ -106,17 +128,15 @@ def test_state_transitions_fig2():
     assert _skip(k, s2) == s0  # 0.66 * 1.33^2 >= 1: clamp to full trust
     assert trust_moves(tp, (1, 1))["skip"] == (0, 0)
     # (1, 1) recommends: a success resets to full trust, a failure adds one
-    assert k.arrivals(np.array([s2]), np.array([True])).tolist() == [s0, k.index(2, 1, 3)]
+    assert _targets(k, [s2], [True]).tolist() == [s0, k.index(2, 1, 3)]
     no_reset = _kernel(TrustParams("0.5", "0.66", "1.33", 1, reset=False), 10)
-    assert no_reset.arrivals(np.array([s2]), np.array([True])).tolist() == [s2, k.index(2, 1, 3)]
+    assert _targets(no_reset, [s2], [True]).tolist() == [s2, k.index(2, 1, 3)]
     # a mixed step: successes or skips first, in state order, then failures
-    live = np.array([s0, s1, s2])
-    assert k.arrivals(live, np.array([True, False, True])).tolist() == [
-        s0, s2, s0, s1, k.index(2, 1, 3)]
+    assert _targets(k, [s0, s1, s2], [True, False, True]).tolist() == [s0, s2, s0, s1, k.index(2, 1, 3)]
     for g in (1, "1.33"):
         for reset in (True, False):
             tp = TrustParams("0.5", "0.66", g, 1, reset=reset)
-            _check_arrivals(tp, _kernel(tp, 10))
+            _check_moves(tp, _kernel(tp, 10))
 
 
 def test_state_values_stay_in_range():
@@ -150,39 +170,39 @@ def test_kernel_holds_the_reachable_states(tp, n):
     """The kernel's layers are the states found by search, with values
     matching the exact trust, and transitions matching the exact moves."""
     k = _kernel(tp, n)
+    states = _states(k)
     levels = reachable_states(tp, n)
     for d in range(n + 1):
         found = levels[d]
         if tp.g == 1:  # boosts never change trust
             found = {(a, 0) for a, _ in found}
-        stored = {_state(k, s) for s in range(k.depth_end[d])}
-        assert stored == found
-    for s in range(len(k.p)):
-        a, b = _state(k, s)
+        assert set(states[: k.depth_end[d]]) == found
+    for s, (a, b) in enumerate(states):
         assert k.p[s] == pytest.approx(float(tp.p0 * tp.l**a * tp.g**b), rel=1e-13, abs=0)
-    _check_arrivals(tp, k)
+    _check_moves(tp, k)
 
 
 @settings(max_examples=60, deadline=None)
 @given(tp=trust_params, n=st.integers(1, 40))
 def test_exponents_invert_the_state_index(tp, n):
-    """`exponents` inverts `index` on every kernel state, in any order of the
-    states, and `arrivals` gives np.intp targets, so the Monte-Carlo keys
-    state * (n+1) + successes cannot wrap whatever numpy's casting rules."""
+    """The (fails, boosts) `step` asks a policy about invert `index` on every
+    kernel state, in any order of the states, and `step` gives np.intp
+    targets, so the Monte-Carlo keys state * (n+1) + successes cannot wrap
+    whatever numpy's casting rules."""
     k = _kernel(tp, n)
     every = np.arange(len(k.p))
-    fails, boosts = k.exponents(every)
+    fails, boosts = _exponents(k, every)
     assert np.array_equal(k.index(fails, boosts, n), every)
     if tp.g == 1:
         assert not boosts.any()
     shuffled = np.random.default_rng(n).permutation(every)
-    assert all(np.array_equal(x[shuffled], y) for x, y in zip((fails, boosts), k.exponents(shuffled)))
+    assert all(np.array_equal(x[shuffled], y) for x, y in zip((fails, boosts), _exponents(k, shuffled)))
     for d in range(n + 1):  # the exponents of each depth's prefix are reachable within d steps
         m = k.depth_end[d]
         assert np.array_equal(k.index(fails[:m], boosts[:m], d), every[:m])
     for live in (every, every.astype(np.int32)):
         for rec in (np.ones(len(every), dtype=bool), np.arange(len(every)) % 2 == 0):
-            assert k.arrivals(live, rec).dtype == np.intp
+            assert _targets(k, live, rec).dtype == np.intp
     assert k.jump.dtype == k.clamp.dtype == np.intp and k.p.dtype == np.float64
 
 
@@ -197,7 +217,7 @@ tie_params = st.builds(
 @settings(max_examples=80, deadline=None)
 @given(tp=st.one_of(trust_params, tie_params), n=st.integers(1, 40))
 def test_depths_grow_until_a_skip_returns_to_full_trust(tp, n):
-    """The arithmetic `arrivals` and the DP move by: each depth holds as many
+    """The arithmetic `step` and the DP move by: each depth holds as many
     states as the one before or one more, and with g > 1 depth d + 1 does not
     grow exactly when `trust_moves` skips depth d's first state to (0, 0), the
     only state of depth d that it skips there.  With g = 1 the kernel merges
@@ -205,14 +225,41 @@ def test_depths_grow_until_a_skip_returns_to_full_trust(tp, n):
     k = _kernel(tp, n)
     counts = np.diff(k.depth_end, prepend=0)
     assert counts[0] == 1 and set(np.diff(counts).tolist()) <= {0, 1}
+    states = _states(k)
     for d in range(n):
         first = k.depth_end[d] - counts[d]
-        to_full = [trust_moves(tp, _state(k, s))["skip"] == (0, 0) for s in range(first, k.depth_end[d])]
+        to_full = [trust_moves(tp, states[s])["skip"] == (0, 0) for s in range(first, k.depth_end[d])]
         if tp.g == 1:
             assert counts[d + 1] == 1
         else:
             assert (counts[d + 1] == counts[d]) == to_full[0]
             assert not any(to_full[1:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(tp=st.one_of(trust_params, tie_params), n=st.integers(1, 30), data=st.data())
+def test_step_moves_as_trust_moves(tp, n, data):
+    """`step` over any live states of depth < n (those with moves), in any
+    order, deciding a random mask: it asks the policy about the states'
+    (fails, boosts), which `index` inverts, returns the policy's mask, and
+    moves each state as `trust_moves` does, successes or skips in the order
+    of `live`, then the failures of the states that recommend."""
+    k = _kernel(tp, n)
+    inner = int(k.depth_end[n - 1])
+    live = np.array(data.draw(st.lists(st.integers(0, inner - 1), unique=True)), dtype=np.intp)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(live), max_size=len(live))), dtype=bool)
+    policy = RecordingPolicy(mask)
+    rec, targets = k.step(policy, 1, live)
+    assert rec is mask
+    [(fails, boosts)] = policy.asked
+    assert np.array_equal(k.index(fails, boosts, n), live)
+    states, first, failed = _states(k), [], []
+    for s, recommends in zip(live.tolist(), mask.tolist()):
+        moves = trust_moves(tp, states[s])
+        skip = (moves["skip"][0], 0) if tp.g == 1 else moves["skip"]
+        first.append(moves["success"] if recommends else skip)
+        failed += [moves["fail"]] if recommends else []
+    assert [states[t] for t in targets.tolist()] == first + failed
 
 
 def test_kernel_keeps_ten_bytes_a_state(fig2_recovery):
@@ -243,12 +290,12 @@ def test_kernel_build_peaks_below_sixteen_bytes_a_state(fig2_recovery):
 @pytest.mark.parametrize("n", [255, 256, 2**16 - 1, 2**16])
 def test_exponents_across_the_depth_widths(n):
     """Each state's depth is kept in the least unsigned dtype that holds n;
-    `exponents` inverts `index` on both sides of each width (g = 1: one
-    state a depth)."""
+    the (fails, boosts) `step` asks a policy about invert `index` on both
+    sides of each width (g = 1: one state a depth)."""
     k = _kernel(TrustParams("0.5", "0.66", 1, 1, reset=False), n)
     assert k.depth.dtype == np.min_scalar_type(n)
     every = np.arange(len(k.p))
-    fails, boosts = k.exponents(every)
+    fails, boosts = _exponents(k, every)
     assert np.array_equal(fails, every) and not boosts.any()
     assert np.array_equal(k.index(fails, boosts, n), every)
 
@@ -261,8 +308,7 @@ def test_kernel_values_beyond_the_float_range(l, g):
     leaves the float range on the way."""
     tp = TrustParams("0.5", l, g, 1, reset=True)
     k = _kernel(tp, 40)
-    for s in range(len(k.p)):
-        a, b = _state(k, s)
+    for s, (a, b) in enumerate(_states(k)):
         want = float(tp.p0 * tp.l**a * tp.g**b)
         assert k.p[s] == pytest.approx(want, rel=1e-9, abs=1e-300)
 
@@ -914,6 +960,41 @@ def test_dp_policy_rejects_unreachable_states(fig2_recovery):
         policy.decide(11, 0, 0)
 
 
+@pytest.mark.parametrize("fails, boosts", [
+    (np.array([0.5]), np.array([0])),  # was truncated to state (0, 0)
+    (np.array([1.0]), np.array([0])),
+    (np.array([0]), np.array([0.0])),
+    (np.array([True]), np.array([0])),  # was read as state (1, 0)
+], ids=["half", "float-fails", "float-boosts", "bool"])
+def test_dp_policy_refuses_states_that_are_no_integers(fig2_recovery, fails, boosts):
+    _, policy = fp.dp_optimal(fig2_recovery, 10)
+    with pytest.raises(ValidationError, match="^fails and boosts must be integers, got "):
+        policy.decision_mask(2, fails, boosts)
+
+
+def test_dp_policy_refuses_states_past_int64(fig2_recovery):
+    # Python ints past int64 make object arrays, which raised OverflowError
+    _, policy = fp.dp_optimal(fig2_recovery, 10)
+    for fails, boosts in [(2**70, 0), (0, 2**64)]:
+        with pytest.raises(ValidationError, match="^states past int64 are not reachable within 1 steps$"):
+            policy.decide(2, fails, boosts)
+    with pytest.raises(ValidationError, match=rf"^state \(fails={2**63}, boosts=0\) is not reachable"):
+        policy.decide(2, 2**63, 0)  # a uint64 array
+    with pytest.raises(ValidationError, match="^states past int64 are not reachable"):
+        policy.decision_mask(2, np.array([1], dtype=object), np.array([0]))
+
+
+def test_dp_policy_refuses_states_of_two_shapes(fig2_recovery):
+    # shapes (2,) and (3,) raised numpy's ValueError, and an unreachable
+    # state past the first of a broadcast array IndexError
+    _, policy = fp.dp_optimal(fig2_recovery, 10)
+    with pytest.raises(ValidationError, match=r"^fails of shape \(2,\) and boosts of shape \(3,\) do not "):
+        policy.decision_mask(5, np.array([0, 1]), np.array([0, 0, 1]))
+    with pytest.raises(ValidationError, match=r"^state \(fails=1, boosts=9\) is not reachable within 4 "):
+        policy.decision_mask(5, np.array([1]), np.array([0, 9]))
+    assert policy.decision_mask(5, np.array([0, 1, 2]), np.array([0])).shape == (3,)
+
+
 def test_policy_from_other_parameters_decides_by_state(fig2_recovery):
     """A DP policy replayed on another process looks its decisions up by
     (fails, boosts), not by the other process's state numbering: the curve
@@ -981,7 +1062,7 @@ def test_dp_tables_are_packed_bits(fig2_recovery):
     cells = 0
     for rem in range(1, n + 1):
         m = k.depth_end[n - rem]
-        fails, boosts = k.exponents(np.arange(m))
+        fails, boosts = _exponents(k, np.arange(m))
         table = policy.decision_mask(n - rem + 1, fails, boosts)
         assert table.dtype == bool and table.shape == (m,)
         assert np.array_equal(table, dense_tables[rem][fails, boosts])
