@@ -680,8 +680,8 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
     curve holds V(t, initial) for t = 1..n.  A sweep reads no move array:
     the values after a failure are V(t-1) on states 1.. less the first state
     of every depth that grows, and those after a skip that array shifted by
-    one place, with each depth's first state set from its skip target (from
-    `_Kernel.jump` and `clamp`); both live with V and 1 - p in one block.
+    one place, with each depth's first state set from its skip target (by
+    `jump` and `clamp`); both live with V and 1 - p in one block allocated once.
     Ties choose skip, so the tables are deterministic; each is packed to one
     bit a state, or is the table before it where that one agrees on its
     prefix.  Horizons past DEFAULT_DP_CAP raise ResourceCapError.
