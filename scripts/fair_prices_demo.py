@@ -53,8 +53,8 @@ def main() -> None:
 
     print("\n== argument withholding ==")
     worths = {("a", "b"): 1, ("a", "c"): 1, ("a", "b", "c"): 1}
-    full = ArgumentGame.create(["a", "b", "c"], worths, {"r1": ["a"], "r2": ["b", "c"]})
-    hidden = ArgumentGame.create(["a", "b", "c"], worths, {"r1": ["a"], "r2": ["b"]})
+    full = ArgumentGame(["a", "b", "c"], worths, {"r1": ["a"], "r2": ["b", "c"]})
+    hidden = ArgumentGame(["a", "b", "c"], worths, {"r1": ["a"], "r2": ["b"]})
     show("plain values, all declared", shapley_arguments(full))
     show("plain values, c withheld", shapley_arguments(hidden))
     print("  -> plain values pay r2 more for hiding c (1/3 vs 1/2)")

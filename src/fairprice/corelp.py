@@ -10,10 +10,10 @@ certificate (nonnegative multipliers for the inequalities, free ones for
 the equalities, combining the system into 0 >= positive).  The tableau is
 fraction-free: each row is a list of ints over one positive denominator,
 and Fractions appear only in the result.  Constraint counts are
-exponential in the player count.  Core membership and the separation scan
-between row-generation rounds are integer passes over the game's worth
-table, and both the scan and `core_system` take the proper coalitions in
-one order, `games.lex_masks`.  The simplex sees only the rows activated
+exponential in the player count.  One scan serves Core membership and
+row generation: an integer pass over the game's worth table that returns
+the first violated coalition in `games.lex_masks` order, the order
+`core_system` lists its rows in.  The simplex sees only the rows activated
 so far, and `lp_feasible` checks each certificate once.
 """
 
@@ -228,12 +228,15 @@ def _row(t: WorthTable, mask: int) -> LinearConstraint:
     return LinearConstraint(coeffs, Fraction(t.nums[mask], t.den))
 
 
-def _excess(t: WorthTable, x: Mapping[str, Fraction]) -> list[int]:
-    """v(S) - x(S) for every mask, as integer numerators over one denominator."""
+def _first_violated(t: WorthTable, x: Mapping[str, Fraction]) -> int | None:
+    """Mask of the lexicographically first coalition with v(S) > x(S), or None:
+    v(S) - x(S) as integers over one denominator, read in `lex_masks` order.
+    The empty coalition has excess 0 and never is one."""
     den = math.lcm(t.den, *(x[i].denominator for i in t.ids))
     paid = subset_sums(x[i].numerator * (den // x[i].denominator) for i in t.ids)
     f = den // t.den
-    return [v * f - p for v, p in zip(t.nums, paid)]
+    excess = [v * f - p for v, p in zip(t.nums, paid)]
+    return next((m for m in lex_masks(len(t.ids)) if excess[m] > 0), None)
 
 
 class CoreMembership(NamedTuple):
@@ -248,11 +251,8 @@ def core_contains(game: Game, payoff: Mapping[str, Rational]) -> CoreMembership:
     x = {i: as_fraction(v, f"payoff[{i}]") for i, v in payoff.items()}
     check_covers(game, x)
     t = game.table()
-    excess = _excess(t, x)
-    feasible = excess[-1] == 0
-    # lexicographic order, so the first hit is the witness; the empty
-    # coalition has excess 0 and never is one
-    witness = next((m for m in lex_masks(len(t.ids)) if excess[m] > 0), None)
+    feasible = sum(x.values(), Fraction(0)) == Fraction(t.nums[-1], t.den)
+    witness = _first_violated(t, x)
     violated = None if witness is None else frozenset(t.members(witness))
     return CoreMembership(feasible and witness is None, violated, feasible)
 
@@ -261,7 +261,8 @@ class CoreExistence(NamedTuple):
     nonempty: bool
     core_point: dict[str, Fraction] | None
     # Aligned with core_system(game): one multiplier per proper coalition in
-    # lexicographic order, zero on rows the lazy solver never activated.
+    # lexicographic order, zero on rows the lazy solver never activated (it
+    # activates the singletons and the coalitions the membership scan finds).
     certificate: FarkasCertificate | None
 
 
@@ -269,11 +270,13 @@ def core_is_nonempty(game: Game) -> CoreExistence:
     """Exact Core non-emptiness: a Core point, or an infeasibility certificate.
 
     Solved by lazy row generation: small LPs against an active constraint
-    set, scanning all 2^n coalitions between rounds for the most violated
-    one (ties to the lexicographically smallest).  A restricted-system
-    Farkas certificate extends to the full system with zero multipliers on
-    inactive rows; `lp_feasible` has already checked it on the active rows,
-    and the zeros change neither side of that check.
+    set that starts from the singletons.  After each LP the membership scan
+    (the one `core_contains` reads) takes the point's excess vector; the
+    lexicographically first violated coalition becomes the next row, and a
+    point with none is in the Core.  A restricted-system Farkas certificate
+    extends to the full system with zero multipliers on inactive rows;
+    `lp_feasible` has already checked it on the active rows, and the zeros
+    change neither side of that check.
     """
     t = game.table()
     full = len(t.nums) - 1
@@ -281,30 +284,15 @@ def core_is_nonempty(game: Game) -> CoreExistence:
     zero = Fraction(0)
 
     active = [1 << j for j in range(len(t.ids))]  # the singletons
-    rows = [_row(t, m) for m in active]
     while True:
-        res = lp_feasible(LinearSystem(t.ids, eq, tuple(rows)))
+        res = lp_feasible(LinearSystem(t.ids, eq, tuple(_row(t, m) for m in active)))
         if not res.feasible:
             mult = dict(zip(active, res.certificate.ineq_multipliers))
             ineq = tuple(mult.get(m, zero) for m in lex_masks(len(t.ids)) if 0 < m < full)
             return CoreExistence(False, None, res.certificate._replace(ineq_multipliers=ineq))
-        worst = _worst_violated_coalition(t, res.point)
-        if worst is None:
-            membership = core_contains(game, res.point)
-            if not membership.in_core:
-                raise AssertionError("LP point failed the exact Core re-check")
+        violated = _first_violated(t, res.point)
+        if violated is None:
+            if sum(res.point.values(), zero) != Fraction(t.nums[full], t.den):
+                raise AssertionError("LP point's total misses v(N)")
             return CoreExistence(True, res.point, None)
-        active.append(worst)  # always a new row, so at most 2^n rounds
-        rows.append(_row(t, worst))
-
-
-def _worst_violated_coalition(t: WorthTable, point: Mapping[str, Fraction]) -> int | None:
-    """Mask of the proper coalition with the largest positive excess, ties to
-    the lexicographically smallest; None when no proper coalition is violated."""
-    excess = _excess(t, point)
-    full = len(excess) - 1
-    top = max(excess[1:-1], default=0)  # C-level max, then the first match (beats max(key=))
-    if top <= 0:
-        return None
-    # the empty coalition's excess is 0, below top
-    return next(m for m in lex_masks(len(t.ids)) if excess[m] == top and m != full)
+        active.append(violated)  # the point meets every active row, so at most 2^n rounds

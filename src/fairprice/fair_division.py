@@ -62,26 +62,29 @@ def shapley(game: Game) -> PayoffVector:
 # Argument games
 # ---------------------------------------------------------------------------
 
-class ArgumentGame(NamedTuple):
+class ArgumentGame(NamedTuple("ArgumentGame", [("arguments", frozenset),
+                                               ("worths", Mapping[Coalition, Fraction]),
+                                               ("ownership", Mapping[str, frozenset])])):
     """Worth function over purchase arguments plus per-recommender ownership.
 
     `arguments` is the full argument set; `worths` maps argument coalitions
     to nonnegative rationals (missing coalitions are worth 0); `ownership`
     assigns pairwise-disjoint argument sets to recommenders.  The union of
     the ownership sets is the declared set; arguments outside it are
-    withheld but still part of the underlying game.
+    withheld but still part of the underlying game.  Construction, and so
+    `_replace`, converts the fields (worth keys to coalitions, worths through
+    `as_fraction`, argument lists to sets) and checks them.
     """
 
-    arguments: frozenset
-    worths: Mapping[Coalition, Fraction]
-    ownership: Mapping[str, frozenset]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace converts and checks
 
-    @staticmethod
-    def create(
+    def __new__(
+        cls,
         arguments: Iterable[str],
         worths: Mapping[Iterable[str] | str, Rational],
         ownership: Mapping[str, Iterable[str]],
-    ) -> "ArgumentGame":
+    ):
         args = _distinct(arguments)
         table: dict[Coalition, Fraction] = {}
         for s, raw in coalition_items(worths.items(), "worth key"):
@@ -105,7 +108,7 @@ class ArgumentGame(NamedTuple):
                 )
             claimed |= s
             own[rec] = s
-        return ArgumentGame(args, table, own)
+        return super().__new__(cls, args, table, own)
 
     @property
     def declared(self) -> frozenset:
@@ -202,12 +205,16 @@ class BargainingProblem(NamedTuple("BargainingProblem", [("total", Fraction),
     The feasible set is the simplex of nonnegative payoffs summing to
     `total`; `disagreement` is what each player keeps if bargaining fails
     (here: the seller's stand-alone worth, zero for recommenders).
+    Construction, and so `_replace`, converts the total and every payoff
+    through `as_fraction` and checks them.
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace converts and checks
 
-    def __new__(cls, total: Fraction, disagreement: dict[str, Fraction]):
+    def __new__(cls, total: Rational, disagreement: Mapping[str, Rational]):
+        total = as_fraction(total, "total")
+        disagreement = {i: as_fraction(d, f"disagreement[{i}]") for i, d in disagreement.items()}
         if not disagreement:
             raise ValidationError("a bargaining problem needs at least one player")
         if any(d < 0 for d in disagreement.values()):
@@ -263,7 +270,7 @@ def payment_divisor(game: Game, mode: str) -> Fraction:
     return prob
 
 
-def to_prices(payoff: Mapping[str, Fraction], game: Game, mode: str) -> PriceSchedule:
+def to_prices(payoff: Mapping[str, Rational], game: Game, mode: str) -> PriceSchedule:
     """Translate expected payoffs into per-recommender prices.
 
     Pay-per-recommendation pays x_r on every recommendation; pay-per-sale
@@ -275,7 +282,7 @@ def to_prices(payoff: Mapping[str, Fraction], game: Game, mode: str) -> PriceSch
     missing = [r for r in recs if r not in payoff]
     if missing:
         raise ValidationError(f"payoff vector lacks recommenders {missing}")
-    return PriceSchedule(mode, {r: Fraction(payoff[r]) / divisor for r in recs})
+    return PriceSchedule(mode, {r: as_fraction(payoff[r], f"payoff[{r}]") / divisor for r in recs})
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ResourceCapError, ValidationError
-from .rational import Rational, as_fraction, brief_str
+from .rational import Rational, as_fraction, brief_str, echo_str
 
 DEFAULT_MAX_PLAYERS = 16
 MAX_PLAYERS_ENV = "FAIRPRICE_MAX_PLAYERS"
@@ -60,7 +60,7 @@ def check_size(n: int, what: str) -> None:
     cap = max_players()
     if n > cap:
         raise ResourceCapError(
-            f"{n} {what} exceeds the cap of {cap} (override with {MAX_PLAYERS_ENV})"
+            f"{echo_str(n)} {what} exceeds the cap of {cap} (override with {MAX_PLAYERS_ENV})"
         )
 
 
@@ -260,7 +260,8 @@ def build_threshold(
             shown = brief_str(value) if isinstance(value, Fraction) else repr(value)
             raise ValidationError(f"threshold {name} must be an integer, got {shown}")
     if not (1 <= k <= n):
-        raise ValidationError(f"threshold k must satisfy 1 <= k <= n, got k={k}, n={n}")
+        raise ValidationError(
+            f"threshold k must satisfy 1 <= k <= n, got k={echo_str(k)}, n={echo_str(n)}")
     check_size(n + 1, "players")  # before n default ids are built
     if q < 0 or p + q > 1:
         raise ValidationError(f"q must lie in [0, 1-p], got q={brief_str(q)} with p={brief_str(p)}")

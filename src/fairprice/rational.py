@@ -10,6 +10,7 @@ float value.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ def as_fraction(value: Rational, what: str = "value") -> Fraction:
     raise ValidationError(f"{what}: expected a number, got {type(value).__name__}")
 
 
-def brief_str(x: Fraction) -> str:
+def brief_str(x: Fraction | int) -> str:
     """str(x) for numbers of at most about 40 digits, else an approximate
     scientific form such as "~1e+100000": Python refuses to convert
     integers of more than 4300 digits to text.
@@ -56,6 +57,15 @@ def brief_str(x: Fraction) -> str:
     if mantissa >= 10:  # exp10 fell just below an integer and 9.9999.. rounded up
         mantissa, e = 1.0, e + 1
     return f"~{'-' if x < 0 else ''}{mantissa:.4g}e{e:+d}"
+
+
+def echo_str(value: object, text: Callable[[object], str] = str) -> str:
+    """text(value) for an error message, or brief_str's approximation of an
+    int or Fraction past the 4300 digits Python converts to text."""
+    try:
+        return text(value)
+    except ValueError:
+        return brief_str(value)
 
 
 def frac_str(x: Fraction) -> str:

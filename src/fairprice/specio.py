@@ -132,7 +132,7 @@ def load_argument_game(src: str | dict, where: str = "argument spec") -> Argumen
         if not isinstance(lst, list) or not all(isinstance(a, str) for a in lst):
             raise ValidationError(f"{where}: ownership of {rec!r} must be an array of strings")
         ownership[rec] = lst
-    return ArgumentGame.create(arguments, worths, ownership)
+    return ArgumentGame(arguments, worths, ownership)
 
 
 def load_payoff_vector(text: str, where: str = "payoff vector") -> dict[str, Fraction]:

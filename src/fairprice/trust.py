@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ResourceCapError, ValidationError
-from .rational import Rational, as_fraction, brief_str
+from .rational import Rational, as_fraction, brief_str, echo_str
 
 DEFAULT_DP_CAP = 500
 # the kernel keeps two per-state arrays, 10 bytes a state, and builds them with no
@@ -263,7 +263,7 @@ def check_tolerance(name: str, value: float) -> None:
 def check_count(name: str, value: int, least: int = 1) -> None:
     """Require an int >= least (a bool, or a float such as 2.0, is no count)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer >= {least}, got {echo_str(value, repr)}")
 
 
 def check_monte_carlo(trials: int, seed: int, *, prefix: str = "") -> None:
@@ -273,7 +273,7 @@ def check_monte_carlo(trials: int, seed: int, *, prefix: str = "") -> None:
     check_count(f"{prefix}trials", trials)
     check_count(f"{prefix}seed", seed, least=0)
     if trials > MC_TRIAL_CAP:
-        raise ResourceCapError(f"{trials} Monte-Carlo trials exceed the cap of {MC_TRIAL_CAP}")
+        raise ResourceCapError(f"{echo_str(trials)} Monte-Carlo trials exceed the cap of {MC_TRIAL_CAP}")
 
 
 def _require_plain_decay(tp: TrustParams, reset: bool) -> None:
@@ -354,7 +354,8 @@ class Policy:
 
         check_count("step", step)
         if any(isinstance(v, int) and v < 0 for v in (fails, boosts)):
-            raise ValidationError(f"state (fails={fails}, boosts={boosts}) is not reachable")
+            raise ValidationError(
+                f"state (fails={echo_str(fails)}, boosts={echo_str(boosts)}) is not reachable")
         check_count("fails", fails, least=0)
         check_count("boosts", boosts, least=0)
         return bool(self.decision_mask(step, np.array([fails]), np.array([boosts]))[0])
@@ -405,7 +406,7 @@ class OptimalPolicy(Policy):
         import numpy as np
 
         if not 1 <= step <= self.horizon:
-            raise ValidationError(f"step {step} outside this policy's horizon {self.horizon}")
+            raise ValidationError(f"step {echo_str(step)} outside this policy's horizon {self.horizon}")
         k = self._kernel
         table = np.unpackbits(self._tables[self.horizon - step + 1], count=int(k.depth_end[step - 1]))
         return table.view(bool)[k.index(fails, boosts, step - 1)]
@@ -554,7 +555,8 @@ def _kernel(tp: TrustParams, n: int) -> _Kernel:
 
 
 def _over_state_cap(n: int) -> ResourceCapError:
-    return ResourceCapError(f"horizon {n} needs more than {KERNEL_STATE_CAP} trust states (the cap)")
+    return ResourceCapError(
+        f"horizon {echo_str(n)} needs more than {KERNEL_STATE_CAP} trust states (the cap)")
 
 
 def _frontier(l: Fraction, g: Fraction, rows: int, cap: int) -> np.ndarray:
@@ -690,7 +692,7 @@ def dp_optimal(tp: TrustParams, n: int) -> tuple[RewardCurve, OptimalPolicy]:
 
     check_count("n", n)
     if n > DEFAULT_DP_CAP:
-        raise ResourceCapError(f"horizon {n} exceeds the DP cap of {DEFAULT_DP_CAP}")
+        raise ResourceCapError(f"horizon {echo_str(n)} exceeds the DP cap of {DEFAULT_DP_CAP}")
     rf = _float_reward(tp)
     k = _kernel(tp, n)
     ends = k.depth_end

@@ -99,12 +99,12 @@ def test_criterion_4_bound_suite():
 
 
 def test_criterion_5_fair_price_constants():
-    ag_full = fp.ArgumentGame.create(
+    ag_full = fp.ArgumentGame(
         ["a", "b", "c"],
         {("a", "b"): 1, ("a", "c"): 1, ("a", "b", "c"): 1},
         {"r1": ["a"], "r2": ["b", "c"]},
     )
-    ag_withheld = fp.ArgumentGame.create(
+    ag_withheld = fp.ArgumentGame(
         ["a", "b", "c"],
         {("a", "b"): 1, ("a", "c"): 1, ("a", "b", "c"): 1},
         {"r1": ["a"], "r2": ["b"]},

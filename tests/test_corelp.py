@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import given, strategies as st
 
 import fairprice as fp
 from fairprice import corelp
 from fairprice.corelp import satisfies
+from fairprice.specio import load_game
 from fairprice.verification import _brute_force_in_core, random_table_game
 from oracles import (
     bondareva_shapley_oracle,
@@ -15,6 +17,8 @@ from oracles import (
     satisfies_oracle,
     time_limit,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_lp_trivially_infeasible():
@@ -195,6 +199,32 @@ def test_core_matches_dense_simplex_oracle_at_benchmark_size(monkeypatch):
     assert fp.certificate_refutes(fp.core_system(general), got[2].certificate)
     monkeypatch.setattr(corelp, "lp_feasible", dense_simplex_oracle)
     assert [fp.core_is_nonempty(g) for g in games] == got
+
+
+def test_row_generation_adds_the_membership_witness(monkeypatch):
+    # each round's new row is the coalition core_contains names for the last
+    # LP point, and the first round's rows are the singletons
+    rng = random.Random(3030)
+    games = [load_game((GOLDEN / "general6.json").read_text(encoding="utf-8"))]
+    games += [random_table_game(rng, n_rec=rng.randint(1, 5)) for _ in range(20)]
+    games += [fp.build_threshold(F(1, 5), 30, 6, 3, F(3, 10))]
+    solve = corelp.lp_feasible
+    for game in games:
+        rounds = []
+
+        def recording(sys_, rounds=rounds):
+            rounds.append(([frozenset(c.coeffs) for c in sys_.inequalities], solve(sys_)))
+            return rounds[-1][1]
+
+        monkeypatch.setattr(corelp, "lp_feasible", recording)
+        result = fp.core_is_nonempty(game)
+        assert rounds[0][0] == [frozenset({i}) for i in sorted(game.player_ids)]
+        for (rows, res), (next_rows, _) in zip(rounds, rounds[1:]):
+            assert next_rows[:-1] == rows
+            assert next_rows[-1] == fp.core_contains(game, res.point).violating_coalition
+        assert result.nonempty == rounds[-1][1].feasible
+        if result.nonempty:
+            assert fp.core_contains(game, result.core_point).in_core
 
 
 def test_core_system_of_table1_linear():

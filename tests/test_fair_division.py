@@ -92,7 +92,7 @@ def test_margin_linearity(p, f, d, lam):
 # ---------------------------------------------------------------------------
 
 def full_argument_game(ownership):
-    return fp.ArgumentGame.create(
+    return fp.ArgumentGame(
         ["a", "b", "c"],
         {("a", "b"): 1, ("a", "c"): 1, ("a", "b", "c"): 1},
         ownership,
@@ -110,7 +110,7 @@ def test_argument_values_withholding_restriction():
 
 
 def test_single_declared_argument():
-    ag = fp.ArgumentGame.create(["a"], {("a",): "7/3"}, {"r1": ["a"]})
+    ag = fp.ArgumentGame(["a"], {("a",): "7/3"}, {"r1": ["a"]})
     assert fp.shapley_arguments(ag) == {"a": F(7, 3)}
     per_arg, per_rec = fp.anonymity_proof_shapley(ag)
     assert per_arg == {"a": F(7, 3)} and per_rec == {"r1": F(7, 3)}
@@ -138,8 +138,8 @@ def test_anonymity_proof_withholding_pays_on_a_non_monotone_table():
     monotone ({a, b, c} is worth 0), and there declaring fewer arguments
     pays: withholding-proofness needs monotone worths."""
     worths = {("a", "b"): 1}
-    full = fp.ArgumentGame.create(["a", "b", "c"], worths, {"r1": ["a"], "r2": ["b", "c"]})
-    withheld = fp.ArgumentGame.create(["a", "b", "c"], worths, {"r1": ["a"], "r2": ["b"]})
+    full = fp.ArgumentGame(["a", "b", "c"], worths, {"r1": ["a"], "r2": ["b", "c"]})
+    withheld = fp.ArgumentGame(["a", "b", "c"], worths, {"r1": ["a"], "r2": ["b"]})
     assert fp.anonymity_proof_shapley(full) == (
         {"a": 0, "b": 0, "c": 0}, {"r1": 0, "r2": 0})
     assert fp.anonymity_proof_shapley(withheld) == (
@@ -156,20 +156,20 @@ def test_psi_normalization():
         for combo in chain.from_iterable(combinations(args, k) for k in range(1, len(args) + 1)):
             worths[combo] = F(rng.randint(0, 12), 4)
         declared = [a for a in args if rng.random() < 0.7] or [args[0]]
-        ag = fp.ArgumentGame.create(args, worths, {"r1": declared})
+        ag = fp.ArgumentGame(args, worths, {"r1": declared})
         per_arg, per_rec = fp.anonymity_proof_shapley(ag)
         assert sum(per_arg.values(), F(0)) == ag.worth(ag.declared)
         assert per_rec["r1"] == sum(per_arg.values(), F(0))
 
 
 def test_psi_zero_denominator_cases():
-    quiet = fp.ArgumentGame.create(["a", "b"], {}, {"r1": ["a"], "r2": ["b"]})
+    quiet = fp.ArgumentGame(["a", "b"], {}, {"r1": ["a"], "r2": ["b"]})
     per_arg, per_rec = fp.anonymity_proof_shapley(quiet)
     assert all(v == 0 for v in per_arg.values())
     assert all(v == 0 for v in per_rec.values())
 
     # zero declared total but positive declared worth: inconsistent input
-    ag = fp.ArgumentGame.create(
+    ag = fp.ArgumentGame(
         ["a", "b", "c"],
         {("a",): 3, ("a", "b", "c"): 1},
         {"r1": ["a", "b", "c"]},
@@ -179,7 +179,7 @@ def test_psi_zero_denominator_cases():
 
 
 def test_empty_declaration_rejected():
-    ag = fp.ArgumentGame.create(["a"], {("a",): 1}, {})
+    ag = fp.ArgumentGame(["a"], {("a",): 1}, {})
     with pytest.raises(ValidationError):
         fp.shapley_arguments(ag)
     with pytest.raises(ValidationError):
@@ -188,7 +188,7 @@ def test_empty_declaration_rejected():
 
 def test_overlapping_ownership_rejected():
     with pytest.raises(ValidationError):
-        fp.ArgumentGame.create(["a", "b"], {("a", "b"): 1}, {"r1": ["a", "b"], "r2": ["b"]})
+        fp.ArgumentGame(["a", "b"], {("a", "b"): 1}, {"r1": ["a", "b"], "r2": ["b"]})
 
 
 @pytest.mark.parametrize("worths, ownership, message", [
@@ -202,19 +202,38 @@ def test_overlapping_ownership_rejected():
         "owned-twice"])
 def test_argument_game_create_validation(worths, ownership, message):
     with pytest.raises(ValidationError) as exc:
-        fp.ArgumentGame.create(["a", "b"], worths, ownership)
+        fp.ArgumentGame(["a", "b"], worths, ownership)
     assert str(exc.value) == message
 
 
+def test_argument_game_constructor_converts_and_checks():
+    # the constructor once kept its raw fields: the tuple key broke
+    # shapley_arguments (TypeError) and anonymity_proof_shapley paid 0 and 0
+    ag = fp.ArgumentGame(frozenset("ab"), {("a", "b"): 1, "a": "1/2"}, {"r1": {"a"}, "r2": ["b"]})
+    assert ag.worths == {frozenset("ab"): F(1), frozenset("a"): F(1, 2)}
+    assert ag.ownership == {"r1": frozenset("a"), "r2": frozenset("b")}
+    assert fp.shapley_arguments(ag) == {"a": F(3, 4), "b": F(1, 4)}
+    assert fp.anonymity_proof_shapley(ag)[1] == {"r1": F(3, 4), "r2": F(1, 4)}
+    with pytest.raises(ValidationError, match="argument worth must be >= 0"):
+        fp.ArgumentGame(["a"], {"a": "-1"}, {})
+
+
+def test_argument_game_replace_rechecks():
+    ag = fp.ArgumentGame(["a", "b"], {("a", "b"): 1}, {"r1": ["a"], "r2": ["b"]})
+    with pytest.raises(ValidationError, match=r"claimed twice"):
+        ag._replace(ownership={"r1": ["a"], "r2": ["a"]})
+    assert ag._replace(ownership={"r1": ["b"]}).ownership == {"r1": frozenset("b")}
+
+
 def test_argument_game_worth_rejects_unknown_arguments():
-    ag = fp.ArgumentGame.create(["a", "b"], {("a",): 1}, {"r1": ["a"]})
+    ag = fp.ArgumentGame(["a", "b"], {("a",): 1}, {"r1": ["a"]})
     with pytest.raises(ValidationError, match=r"unknown argument\(s\): \['z'\]"):
         ag.worth({"a", "z"})
 
 
 def test_argument_game_worth_reads_a_str_as_one_argument():
     # "ab" used to be read as the coalition {a, b}
-    ag = fp.ArgumentGame.create(["a", "b"], {"a": 1, ("a", "b"): 2}, {"r1": ["a"]})
+    ag = fp.ArgumentGame(["a", "b"], {"a": 1, ("a", "b"): 2}, {"r1": ["a"]})
     assert ag.worth("a") == 1 and ag.worth(["a", "b"]) == 2
     with pytest.raises(ValidationError, match=r"^unknown argument\(s\): \['ab'\]$"):
         ag.worth("ab")
@@ -237,7 +256,7 @@ def argument_games(draw):
     for a, owner in zip(args, owners):
         if owner is not None:
             ownership.setdefault(owner, []).append(a)
-    return fp.ArgumentGame.create(args, worths, ownership)
+    return fp.ArgumentGame(args, worths, ownership)
 
 
 @settings(max_examples=80, deadline=None)
@@ -303,6 +322,17 @@ def test_nash_empty_problem_rejected():
     # nash_bargaining divided by the player count, 0, before
     with pytest.raises(ValidationError, match="at least one player"):
         fp.BargainingProblem(F(1), {})
+
+
+def test_bargaining_problem_converts_through_as_fraction():
+    bp = fp.BargainingProblem(F(2), {"s": "1"})
+    assert bp.disagreement == {"s": F(1)} and type(bp.disagreement["s"]) is F
+    nb = fp.nash_bargaining(fp.BargainingProblem(2, {"s": 0.1, "r": F(0)}))
+    assert nb == {"r": F(19, 20), "s": F(21, 20)}
+    assert all(type(x) is F for x in nb.values())
+    assert type(bp._replace(total="5/2").total) is F
+    with pytest.raises(ValidationError, match=r"disagreement\[s\]: cannot parse rational 'x'"):
+        fp.BargainingProblem(1, {"s": "x"})
 
 
 def test_nash_closed_form_maximizes_product():
@@ -377,6 +407,14 @@ def test_prices_refuse_unknown_mode_and_missing_recommenders():
         payment_divisor(g, "per-click")
     with pytest.raises(ValidationError, match=r"payoff vector lacks recommenders \['r2'\]"):
         fp.to_prices({"s": F(0), "r1": F(1)}, g, fp.PAY_PER_SALE)
+
+
+def test_prices_convert_through_as_fraction():
+    g = fp.build_linear("0.5", 1, ["0.2", "0.1"])
+    schedule = fp.to_prices({"s": 0, "r1": 0.1, "r2": "1/5"}, g, fp.PAY_PER_RECOMMENDATION)
+    assert schedule.prices == {"r1": F(1, 10), "r2": F(1, 5)}
+    with pytest.raises(ValidationError, match=r"payoff\[r1\]: cannot parse rational 'x'"):
+        fp.to_prices({"s": 0, "r1": "x", "r2": 0}, g, fp.PAY_PER_SALE)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +505,7 @@ def test_scale_margin_refusals():
 
 def _argument_game(count: int):
     args = [f"a{i:02d}" for i in range(count)]
-    return fp.ArgumentGame.create(args, {tuple(args): 1}, {"r1": args})
+    return fp.ArgumentGame(args, {tuple(args): 1}, {"r1": args})
 
 
 def test_argument_games_respect_the_player_cap(monkeypatch):

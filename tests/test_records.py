@@ -25,7 +25,7 @@ def records():
         "FeasibilityResult": (lambda: fp.FeasibilityResult(False, None, CERT), True),
         "CoreMembership": (lambda: fp.CoreMembership(False, frozenset({"s"}), True), True),
         "CoreExistence": (lambda: fp.CoreExistence(True, {"s": F(1)}, None), False),
-        "ArgumentGame": (lambda: fp.ArgumentGame.create(["a"], {"a": 1}, {"r1": ["a"]}), False),
+        "ArgumentGame": (lambda: fp.ArgumentGame(["a"], {"a": 1}, {"r1": ["a"]}), False),
         "BargainingProblem": (lambda: fp.BargainingProblem(F(2), {"s": F(1)}), False),
         "PriceSchedule": (lambda: fp.PriceSchedule(fp.PAY_PER_SALE, {"r1": F(1)}), False),
         "DeviationReport": (lambda: fp.DeviationReport(False, None, F(1), F(1)), True),

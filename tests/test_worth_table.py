@@ -9,7 +9,7 @@ from itertools import chain, combinations
 from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
-from fairprice.corelp import _worst_violated_coalition, certificate_refutes, core_system
+from fairprice.corelp import certificate_refutes, core_system
 from oracles import scenario_worth, seller_veto_core_oracle, shapley_permutation_oracle
 
 # "a" sorts before the recommenders r1.., "r1x" between r1 and r2, "z" last
@@ -70,22 +70,6 @@ def brute_witness(game, worth, x):
     return None
 
 
-def brute_worst(game, worth, x):
-    worst, worst_gap = None, F(0)
-    for s in lexicographic(game):
-        if s and s != game.grand_coalition:
-            gap = worth(s) - sum((x[i] for i in s), F(0))
-            if gap > worst_gap:
-                worst, worst_gap = s, gap
-    return worst
-
-
-def worst_violated(game, x):
-    t = game.table()
-    mask = _worst_violated_coalition(t, x)
-    return None if mask is None else frozenset(t.members(mask))
-
-
 @given(games())
 def test_table_matches_worth(game_and_worth):
     game, worth = game_and_worth
@@ -130,7 +114,6 @@ def test_core_scans_match_brute_force(data):
     result = fp.core_contains(game, x)
     assert result.violating_coalition == brute_witness(game, worth, x)
     assert result.feasible == (sum(x.values(), F(0)) == worth(game.grand_coalition))
-    assert worst_violated(game, x) == brute_worst(game, worth, x)
 
 
 def test_core_scans_break_ties_lexicographically():
@@ -139,7 +122,5 @@ def test_core_scans_break_ties_lexicographically():
     # tuple {r1,r2}.
     game = fp.from_table(["s", "r1", "r2"], {("s", "r1"): 1, ("s", "r1", "r2"): 5})
     x = {"s": F(0), "r1": F(0), "r2": F(-1)}
-    assert brute_worst(game, game.worth, x) == frozenset({"r1", "r2"})
-    assert worst_violated(game, x) == frozenset({"r1", "r2"})
     assert brute_witness(game, game.worth, x) == frozenset({"r1", "r2"})
     assert fp.core_contains(game, x).violating_coalition == frozenset({"r1", "r2"})
