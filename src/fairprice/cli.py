@@ -306,11 +306,17 @@ def main(argv=None) -> int:
             return cmd_simulate(args)
         return cmd_verify(args)
     except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_CAP
     except (FairpriceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_VALIDATION
+
+
+def _one_line(exc: Exception) -> str:
+    """The message with each line break escaped, as an echoed id may hold one."""
+    return "".join(c if c.splitlines() == [c] else c.encode("unicode_escape").decode()
+                   for c in str(exc))
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
 """Fair payoff rules: Shapley value, argument-level values, Nash bargaining,
 price schedules and a seller-misreport probe.
 
-Player games use the classical Shapley value (factorial weights, exact
-rationals, each coalition's worth summed once).  Argument games use a
-uniform-weight marginal value: every coalition term carries weight 1/n!
-instead of |S|!(n-1-|S|)!/n!, so only the coalitions the game lists are read.
-That is the weighting under which the documented argument-game payouts
-(3/5 & 2/5 under full declaration, 3/4 & 1/4 under withholding) come out
-exactly; it coincides with the classical value for up to two declared arguments.
+Player and argument values are one exact integer sum over the 2^n worth
+table, each worth read once, under two weightings.  Player games take the
+classical Shapley weights |S|!(n-1-|S|)!/n!.  Argument games take a uniform
+1/n! for every coalition term: the weighting under which the documented
+argument-game payouts (3/5 & 2/5 under full declaration, 3/4 & 1/4 under
+withholding) come out exactly; it equals the classical value for up to two
+declared arguments.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import ValidationError
 from .games import (
@@ -23,9 +23,11 @@ from .games import (
     Game,
     PayoffVector,
     ScenarioMeta,
+    WorthTable,
     as_coalition,
     check_size,
     coalition_items,
+    scatter_table,
 )
 from .rational import Rational, as_fraction, brief_str
 
@@ -38,17 +40,21 @@ PAY_PER_SALE = "per-sale"
 # ---------------------------------------------------------------------------
 
 def shapley(game: Game) -> PayoffVector:
-    """Exact Shapley value: expected marginal contribution over orderings.
+    """Exact Shapley value: `_mask_values` with the weights w_s = s! (n-1-s)!."""
+    t = game.table()
+    n = len(t.ids)
+    return _mask_values(t, [math.factorial(s) * math.factorial(n - 1 - s) for s in range(n)])
 
-    With w_s = s! (n-1-s)! for s < n and w_n = 0, each worth is summed once,
-    in integers over the game's worth table:
+
+def _mask_values(t: WorthTable, w: list[int]) -> PayoffVector:
+    """Per-player value for per-size weights w_0..w_(n-1) (w_n = 0), each
+    worth summed once, in integers over the worth table:
         phi_i * n! = sum over S holding i of (w_(|S|-1) + w_|S|) v(S)
                      - sum over all S of w_|S| v(S).
     The masks holding bit i are every other run of 2^i masks.
     """
-    t = game.table()
     n = len(t.ids)
-    w = [math.factorial(s) * math.factorial(n - 1 - s) for s in range(n)] + [0]
+    w = [*w, 0]
     pair = [w[s - 1] + w[s] for s in range(n + 1)]  # pair[0] is never summed
     holding = [pair[m.bit_count()] * x for m, x in enumerate(t.nums)]
     without = sum(w[m.bit_count()] * x for m, x in enumerate(t.nums))
@@ -133,18 +139,12 @@ def _distinct(items: Iterable[str], where: str = "") -> frozenset:
     return frozenset(seen)
 
 
-def _uniform_marginal_value(worths: Mapping[Coalition, Fraction], ids: Sequence[str]) -> dict:
-    """Per-element value with every coalition term weighted by 1/n!.
-
-    `worths` is sparse over subsets of `ids`; missing coalitions are worth 0.
-    Summed over S without a, v(S+a) - v(S) is the worth of the listed
-    coalitions holding a minus the worth of the others, so only they are read.
-    """
-    n = len(ids)
-    check_size(n, "arguments")  # bounds the n * |worths| terms and n!
-    n_fact = math.factorial(n)
-    return {a: sum((v if a in s else -v for s, v in worths.items()), Fraction(0)) / n_fact
-            for a in ids}
+def _argument_values(worths: Mapping[Coalition, Fraction], args: frozenset) -> dict[str, Fraction]:
+    """Value of each of `args` over `worths`, sparse over subsets of `args`, with
+    w_s = 1: each v(S) counts +1/n! where S holds the argument, else -1/n!."""
+    check_size(len(args), "arguments")  # before the 2^n table is built
+    ids = tuple(sorted(args))
+    return _mask_values(WorthTable(ids, *scatter_table(ids, worths)), [1] * len(ids))
 
 
 def shapley_arguments(ag: ArgumentGame) -> dict[str, Fraction]:
@@ -153,7 +153,7 @@ def shapley_arguments(ag: ArgumentGame) -> dict[str, Fraction]:
     if not declared:
         raise ValidationError("no declared arguments")
     restricted = {s: v for s, v in ag.worths.items() if s <= declared}
-    return _uniform_marginal_value(restricted, sorted(declared))
+    return _argument_values(restricted, declared)
 
 
 def anonymity_proof_shapley(ag: ArgumentGame) -> tuple[dict[str, Fraction], PayoffVector]:
@@ -174,7 +174,7 @@ def anonymity_proof_shapley(ag: ArgumentGame) -> tuple[dict[str, Fraction], Payo
     declared = ag.declared
     if not declared:
         raise ValidationError("no declared arguments")
-    full = _uniform_marginal_value(ag.worths, sorted(ag.arguments))
+    full = _argument_values(ag.worths, ag.arguments)
     denom = sum((full[a] for a in declared), Fraction(0))
     v_declared = ag.worth(declared)
     if denom == 0:

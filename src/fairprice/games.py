@@ -203,6 +203,14 @@ def _default_ids(n: int) -> list[str]:
     return [f"r{i}" for i in range(1, n + 1)]
 
 
+def _id_list(ids: Iterable[str], what: str) -> list[str]:
+    """The ids as a list; ValidationError for a bare str, which would split
+    into one id per character."""
+    if isinstance(ids, str):
+        raise ValidationError(f"{what} must be a list of ids, not a str")
+    return list(ids)
+
+
 def build_linear(
     p: Rational,
     delta: Rational,
@@ -219,7 +227,8 @@ def build_linear(
         rec_ids = list(q_map)
     else:
         qs = list(qs)
-        rec_ids = list(recommenders) if recommenders is not None else _default_ids(len(qs))
+        rec_ids = (_id_list(recommenders, "recommenders") if recommenders is not None
+                   else _default_ids(len(qs)))
         check_size(len(rec_ids) + 1, "players")  # before any q is converted
         q_list = [as_fraction(v, "q") for v in qs]
         if len(rec_ids) != len(q_list):
@@ -265,7 +274,7 @@ def build_threshold(
     check_size(n + 1, "players")  # before n default ids are built
     if q < 0 or p + q > 1:
         raise ValidationError(f"q must lie in [0, 1-p], got q={brief_str(q)} with p={brief_str(p)}")
-    rec_ids = list(recommenders) if recommenders is not None else _default_ids(n)
+    rec_ids = _id_list(recommenders, "recommenders") if recommenders is not None else _default_ids(n)
     if len(rec_ids) != n:
         raise ValidationError("number of recommender ids must equal n")
 
@@ -295,7 +304,7 @@ def build_general(
     coalitions default to uplift 0.  Values must lie in [0, 1-p].
     """
     p, delta = _margin(p, delta)
-    rec_ids = list(recommenders)
+    rec_ids = _id_list(recommenders, "recommenders")
     check_size(len(rec_ids) + 1, "players")  # before any uplift is converted
     valid = frozenset(rec_ids) | {seller}
 
@@ -327,7 +336,7 @@ def from_table(players: Iterable[str], worths: Mapping[Iterable[str] | Coalition
     The first id is the seller.  The table must respect v(empty)=0, v >= 0
     and v(S)=0 whenever the seller is absent.
     """
-    plist = list(players)
+    plist = _id_list(players, "players")
     if not plist:
         raise ValidationError("a game needs at least one player, the seller")
     seller, *recs = plist

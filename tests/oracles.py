@@ -79,6 +79,35 @@ def shapley_permutation_oracle(game: Game, worth: Worth | None = None) -> Payoff
     return {i: t / n_fact for i, t in totals.items()}
 
 
+def scenario_shapley_oracle(kind: str, p, delta, seller: str, recommenders: Iterable[str],
+                            **params) -> PayoffVector:
+    """Closed-form Shapley value of a linear or threshold scenario game, from
+    the builder's arguments; `kind` and `params` as in `scenario_worth`.
+
+    The seller is a veto player, so a recommender adds to a coalition only
+    when the seller precedes it in the ordering.  Linear: i adds q_i * delta
+    when the seller precedes it (probability 1/2).  Threshold (n
+    recommenders, k needed): i adds q * delta when the seller and exactly
+    k - 1 recommenders precede it (probability k / (n (n + 1))).  The seller
+    keeps p * delta and the rest of each increment.  Needs no enumeration, so
+    it runs at any size.
+    """
+    p, delta = Fraction(p), Fraction(delta)
+    recs = list(recommenders)
+    n = len(recs)
+    if kind == "linear":
+        q = {r: Fraction(params["q"][r]) for r in recs}
+        phi = {r: q[r] * delta / 2 for r in recs}
+        phi_s = p * delta + delta * sum(q.values(), Fraction(0)) / 2
+    elif kind == "threshold":
+        q, k = Fraction(params["q"]), params["k"]
+        phi = {r: q * delta * k / (n * (n + 1)) for r in recs}
+        phi_s = p * delta + q * delta * (n + 1 - k) / (n + 1)
+    else:
+        raise ValueError(kind)
+    return {seller: phi_s, **phi}
+
+
 def shapley_pair_oracle(game: Game) -> PayoffVector:
     """The subset-sum formula walked pair by pair over the game's worth table:
         phi_j = sum over masks m without bit j of

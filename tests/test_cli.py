@@ -47,14 +47,20 @@ def run(args, capsys):
     return code, out
 
 
-@pytest.mark.parametrize("name", ["linear10", "general6", "threshold12"])
-def test_price_shapley_core_golden(name, capsys, monkeypatch):
+@pytest.mark.parametrize("name, methods", [
+    ("linear10", "shapley,core-nonempty"),
+    ("general6", "shapley,core-nonempty"),
+    ("threshold12", "shapley,core-nonempty"),
+    ("arguments13", "shapley,anon-shapley"),
+], ids=["linear10", "general6", "threshold12", "arguments13"])
+def test_price_shapley_core_golden(name, methods, capsys, monkeypatch):
     """Byte-exact stdout: Shapley values plus a Core point (linear10, and
     threshold12 after 12 row-generation LPs) or a Farkas certificate over all
-    62 proper coalitions (general6)."""
+    62 proper coalitions (general6); argument values and anonymity-proof
+    payouts of a 13-argument game with one argument withheld (arguments13)."""
     golden = Path(__file__).parent / "golden"
     monkeypatch.chdir(golden.parent.parent)
-    argv = ["price", "--game", f"tests/golden/{name}.json", "--method", "shapley,core-nonempty"]
+    argv = ["price", "--game", f"tests/golden/{name}.json", "--method", methods]
     code, out = run(argv, capsys)
     assert code == 0
     assert out == (golden / f"{name}.out").read_text(encoding="utf-8")

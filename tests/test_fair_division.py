@@ -1,17 +1,20 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairprice as fp
 from fairprice import ResourceCapError, ValidationError
+from fairprice import fair_division
 from fairprice.fair_division import payment_divisor, scale_margin, scaled_report_grid
 from fairprice.verification import random_table_game
 from oracles import (
     argument_value_oracle,
     bondareva_shapley_oracle,
     nash_product_grid_oracle,
+    scenario_shapley_oracle,
     shapley_pair_oracle,
     shapley_permutation_oracle,
 )
@@ -66,6 +69,32 @@ def test_shapley_matches_the_pair_formula_on_large_games(kind, n):
                   for _ in range(30)}
         g = fp.build_general("1/5", "37/4", uplift, recommenders=recs)
     assert fp.shapley(g) == shapley_pair_oracle(g)
+
+
+@st.composite
+def scenario_games(draw, kind):
+    """A linear or threshold game with 1-15 recommenders, up to the 16-player
+    cap, and the builder arguments `scenario_shapley_oracle` reads."""
+    n = draw(st.integers(1, 15))
+    p = draw(st.fractions(0, 1, max_denominator=20))
+    delta = draw(st.fractions(0, 50, max_denominator=8))
+    recs = [f"r{i:02d}" for i in range(1, n + 1)]
+    if kind == "linear":  # each q_i <= (1-p)/n keeps p + sum(q) <= 1
+        q = {r: (1 - p) * draw(st.fractions(0, 1, max_denominator=30)) / n for r in recs}
+        return fp.build_linear(p, delta, q), dict(p=p, delta=delta, q=q)
+    k = draw(st.integers(1, n))
+    q = (1 - p) * draw(st.fractions(0, 1, max_denominator=30))
+    return fp.build_threshold(p, delta, n, k, q), dict(p=p, delta=delta, k=k, q=q)
+
+
+@pytest.mark.parametrize("kind", ["linear", "threshold"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shapley_matches_the_scenario_closed_forms(kind, data):
+    # the closed forms need no enumeration, so they check the sum up to the cap
+    game, args = data.draw(scenario_games(kind))
+    assert fp.shapley(game) == scenario_shapley_oracle(
+        kind, seller="s", recommenders=game.recommenders, **args)
 
 
 @given(
@@ -276,6 +305,42 @@ def test_argument_values_match_the_subset_oracle(ag):
     assert per_arg == {a: full[a] / denom * v_declared if denom else F(0) for a in declared}
     assert per_rec == {r: sum((per_arg[a] for a in owned), F(0))
                        for r, owned in ag.ownership.items()}
+
+
+@st.composite
+def monotone_argument_games(draw):
+    """2-6 arguments, each owned by one of up to three recommenders, and a
+    monotone worth: v(S) is the sum (or the max) of the nonnegative listed
+    weights w(T) over T within S."""
+    args = ARGUMENTS[:draw(st.integers(2, 6))]
+    keys = st.frozensets(st.sampled_from(args), min_size=1)
+    w = draw(st.dictionaries(keys, st.fractions(0, 5, max_denominator=6), min_size=1, max_size=6))
+    mobius = draw(st.booleans())
+    worths = {}
+    for size in range(1, len(args) + 1):
+        for s in map(frozenset, combinations(args, size)):
+            listed = [x for t, x in w.items() if t <= s]
+            worths[s] = sum(listed, F(0)) if mobius else max(listed, default=F(0))
+    owners = draw(st.lists(st.sampled_from(["r1", "r2", "r3"]),
+                           min_size=len(args), max_size=len(args)))
+    ownership: dict = {}
+    for a, owner in zip(args, owners):
+        ownership.setdefault(owner, []).append(a)
+    return fp.ArgumentGame(args, worths, ownership)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monotone_argument_games())
+def test_withholding_never_pays_under_the_anonymity_proof_value(ag):
+    """The paper's claim: on monotone worths, no owner is paid more for
+    withholding any proper subset of its arguments."""
+    _, paid = fp.anonymity_proof_shapley(ag)
+    for owner, owned in ag.ownership.items():
+        for size in range(1, len(owned)):
+            for kept in combinations(sorted(owned), size):
+                _, lied = fp.anonymity_proof_shapley(
+                    ag._replace(ownership={**ag.ownership, owner: kept}))
+                assert lied[owner] <= paid[owner]
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +576,17 @@ def _argument_game(count: int):
 def test_argument_games_respect_the_player_cap(monkeypatch):
     monkeypatch.delenv("FAIRPRICE_MAX_PLAYERS", raising=False)
     big = _argument_game(17)
-    with pytest.raises(ResourceCapError):
-        fp.shapley_arguments(big)
-    with pytest.raises(ResourceCapError):
-        fp.anonymity_proof_shapley(big)
+    message = r"^17 arguments exceeds the cap of 16 \(override with FAIRPRICE_MAX_PLAYERS\)$"
+
+    def no_table(*_):
+        raise AssertionError("the 2^n table was built before the cap was checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(fair_division, "scatter_table", no_table)
+        with pytest.raises(ResourceCapError, match=message):
+            fp.shapley_arguments(big)  # 17 declared
+        with pytest.raises(ResourceCapError, match=message):  # 17 arguments, 16 declared
+            fp.anonymity_proof_shapley(big._replace(ownership={"r1": sorted(big.arguments)[1:]}))
     monkeypatch.setenv("FAIRPRICE_MAX_PLAYERS", "17")
     assert len(fp.shapley_arguments(big)) == 17
     assert fp.anonymity_proof_shapley(big)[1] == {"r1": 1}

@@ -91,6 +91,18 @@ def test_worth_reads_a_str_as_one_id():
         g.worth("sr1")
 
 
+@pytest.mark.parametrize("build, what", [
+    (lambda: build_linear("0.1", 1, ["0.1", "0.2"], recommenders="r1"), "recommenders"),
+    (lambda: build_threshold("0.1", 1, 2, 1, "0.2", recommenders="ab"), "recommenders"),
+    (lambda: build_general("0.1", 1, {}, recommenders="ab"), "recommenders"),
+    (lambda: from_table("sab", {}), "players"),
+], ids=["linear", "threshold", "general", "from-table"])
+def test_builders_refuse_a_str_of_ids(build, what):
+    # recommenders="r1" used to build the players s, r and 1
+    with pytest.raises(ValidationError, match=rf"^{what} must be a list of ids, not a str$"):
+        build()
+
+
 @pytest.mark.parametrize(
     "builder",
     [

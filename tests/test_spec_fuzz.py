@@ -99,6 +99,8 @@ def encoded(docs):
          methods="shapley", extra=["--payment", "per-sale"])
 @example(game=json.dumps(LINEAR).encode(), vector=b'{"s": "1e100000", "r1": 0, "r2": 0}',
          methods="core-check", extra=[])
+# an id holding a line break, echoed in the message, used to split the error line
+@example(game=json.dumps(LINEAR).encode(), vector=b'{"\\r": null}', methods="core-check", extra=[])
 def test_price_survives_any_spec_bytes(game, vector, methods, extra):
     with tempfile.TemporaryDirectory() as tmp:
         game_path, vector_path = Path(tmp) / "game.json", Path(tmp) / "vector.json"
